@@ -52,7 +52,8 @@ bool CatalogsIdentical(const VdpsCatalog& a, const VdpsCatalog& b) {
     const auto& sb = b.strategies(w);
     if (sa.size() != sb.size()) return false;
     for (size_t i = 0; i < sa.size(); ++i) {
-      if (sa[i].entry_id != sb[i].entry_id || sa[i].route != sb[i].route ||
+      if (sa[i].entry_id != sb[i].entry_id || sa[i].option != sb[i].option ||
+          a.route(sa[i]) != b.route(sb[i]) ||
           sa[i].total_time != sb[i].total_time ||
           sa[i].payoff != sb[i].payoff) {
         return false;

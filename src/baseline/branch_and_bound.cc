@@ -90,7 +90,7 @@ BnbResult SolveMaxTotalBnB(const Instance& instance,
     const int32_t idx = search.best_choice[w];
     if (idx != kNullStrategy) {
       result.assignment.SetRoute(
-          w, catalog.strategies(w)[static_cast<size_t>(idx)].route);
+          w, catalog.route(catalog.strategies(w)[static_cast<size_t>(idx)]));
     }
   }
   return result;

@@ -21,7 +21,7 @@ JointState StateFromAssignment(const Instance& instance,
     if (route.empty()) continue;
     int32_t idx = kNullStrategy;
     for (size_t i = 0; i < catalog.strategies(w).size(); ++i) {
-      if (catalog.strategies(w)[i].route == route) {
+      if (catalog.route(catalog.strategies(w)[i]) == route) {
         idx = static_cast<int32_t>(i);
         break;
       }

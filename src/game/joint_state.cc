@@ -51,8 +51,8 @@ Assignment JointState::ToAssignment() const {
   Assignment a(instance_->num_workers());
   for (size_t w = 0; w < strategy_.size(); ++w) {
     if (strategy_[w] == kNullStrategy) continue;
-    a.SetRoute(w, catalog_->strategies(w)[static_cast<size_t>(strategy_[w])]
-                      .route);
+    a.SetRoute(w, catalog_->route(catalog_->strategies(
+                      w)[static_cast<size_t>(strategy_[w])]));
   }
   FTA_DCHECK_OK(ValidateInvariants());
   FTA_DCHECK_OK(a.Validate(*instance_));

@@ -6,11 +6,13 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <string_view>
 #include <thread>
 #include <utility>
 
 #include "io/csv.h"
 #include "util/check.h"
+#include "util/math_util.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -244,6 +246,68 @@ StatusOr<double> Field(const std::vector<std::string>& row, size_t i) {
   return ParseDouble(row[i]);
 }
 
+/// Field `i` as a finite number.
+StatusOr<double> FiniteField(const std::vector<std::string>& row, size_t i) {
+  StatusOr<double> v = Field(row, i);
+  if (v.ok() && !std::isfinite(*v)) {
+    return Status::ParseError(StrFormat("'%s' row field %zu is not finite",
+                                        row[0].c_str(), i));
+  }
+  return v;
+}
+
+/// Field `i` as an absolute leave time: finite, or +inf for "never"
+/// (StreamEvent's documented kInfinity for departure and queue_expiry,
+/// which SerializeServeTrace writes as `inf`).
+StatusOr<double> LeaveTimeField(const std::vector<std::string>& row,
+                                size_t i) {
+  StatusOr<double> v = Field(row, i);
+  if (v.ok() && !std::isfinite(*v) && *v != kInfinity) {
+    return Status::ParseError(StrFormat(
+        "'%s' row field %zu is neither finite nor +inf", row[0].c_str(), i));
+  }
+  return v;
+}
+
+/// Field `i` as an unsigned integer no larger than `max`. Decimal digits
+/// only, so fractions, signs, exponents and non-finite spellings are
+/// rejected instead of being truncated or wrapped by a cast.
+StatusOr<uint64_t> UintField(const std::vector<std::string>& row, size_t i,
+                             uint64_t max) {
+  if (i >= row.size()) {
+    return Status::ParseError(
+        StrFormat("'%s' row is missing field %zu", row[0].c_str(), i));
+  }
+  const std::string_view text = StripWhitespace(row[i]);
+  if (text.empty() || !std::all_of(text.begin(), text.end(), [](char ch) {
+        return ch >= '0' && ch <= '9';
+      })) {
+    return Status::ParseError(
+        StrFormat("'%s' row field %zu is not a non-negative integer: '%s'",
+                  row[0].c_str(), i, row[i].c_str()));
+  }
+  uint64_t v = 0;
+  for (const char ch : text) {
+    const uint64_t digit = static_cast<uint64_t>(ch - '0');
+    if (digit > max || v > (max - digit) / 10) {
+      return Status::ParseError(
+          StrFormat("'%s' row field %zu is out of range (max %llu): '%s'",
+                    row[0].c_str(), i, static_cast<unsigned long long>(max),
+                    row[i].c_str()));
+    }
+    v = v * 10 + digit;
+  }
+  return v;
+}
+
+/// Per-center position in the batching protocol (serve/request.h): the
+/// last request's tick and whether its run is still open (non-final).
+struct CenterRun {
+  bool seen = false;
+  bool open = false;
+  uint64_t tick = 0;
+};
+
 }  // namespace
 
 StatusOr<ServeTrace> DeserializeServeTrace(const std::string& text) {
@@ -251,37 +315,52 @@ StatusOr<ServeTrace> DeserializeServeTrace(const std::string& text) {
   if (!doc.ok()) return doc.status();
   ServeTrace trace;
   bool have_meta = false;
+  std::vector<CenterRun> runs;
   for (const auto& row : doc->rows) {
     if (row.empty()) continue;
     if (row[0] == "meta") {
-      auto period = Field(row, 1);
-      auto ticks = Field(row, 2);
+      auto period = FiniteField(row, 1);
+      auto ticks = UintField(row, 2, UINT64_MAX);
       if (!period.ok()) return period.status();
       if (!ticks.ok()) return ticks.status();
       if (*period <= 0.0) return Status::ParseError("non-positive tick_period");
       trace.tick_period = *period;
-      trace.ticks = static_cast<uint64_t>(*ticks);
+      trace.ticks = *ticks;
       have_meta = true;
     } else if (row[0] == "center") {
-      auto x = Field(row, 1);
-      auto y = Field(row, 2);
+      auto x = FiniteField(row, 1);
+      auto y = FiniteField(row, 2);
       if (!x.ok()) return x.status();
       if (!y.ok()) return y.status();
       trace.centers.push_back(Point{*x, *y});
     } else if (row[0] == "req") {
-      auto center = Field(row, 1);
-      auto tick = Field(row, 2);
-      auto final_in_tick = Field(row, 3);
+      auto center = UintField(row, 1, UINT32_MAX);
+      auto tick = UintField(row, 2, UINT64_MAX);
+      auto final_in_tick = UintField(row, 3, 1);
       if (!center.ok()) return center.status();
       if (!tick.ok()) return tick.status();
       if (!final_in_tick.ok()) return final_in_tick.status();
-      ServeRequest req;
-      req.center = static_cast<uint32_t>(*center);
-      req.tick = static_cast<uint64_t>(*tick);
-      req.final_in_tick = *final_in_tick != 0.0;
-      if (req.center >= trace.centers.size()) {
+      if (*center >= trace.centers.size()) {
         return Status::ParseError("req row names an undeclared center");
       }
+      ServeRequest req;
+      req.center = static_cast<uint32_t>(*center);
+      req.tick = *tick;
+      req.final_in_tick = *final_in_tick == 1;
+      runs.resize(trace.centers.size());
+      CenterRun& run = runs[req.center];
+      if (run.open && req.tick != run.tick) {
+        return Status::ParseError(StrFormat(
+            "center %u changes tick inside its open tick-%llu run",
+            req.center, static_cast<unsigned long long>(run.tick)));
+      }
+      if (!run.open && run.seen && req.tick <= run.tick) {
+        return Status::ParseError(StrFormat(
+            "center %u request ticks go backwards (%llu after sealed %llu)",
+            req.center, static_cast<unsigned long long>(req.tick),
+            static_cast<unsigned long long>(run.tick)));
+      }
+      run = CenterRun{true, !req.final_in_tick, req.tick};
       trace.requests.push_back(std::move(req));
     } else if (row[0] == "w" || row[0] == "t") {
       if (trace.requests.empty()) {
@@ -290,25 +369,26 @@ StatusOr<ServeTrace> DeserializeServeTrace(const std::string& text) {
       StreamEvent ev;
       ev.kind = row[0] == "w" ? StreamEventKind::kWorkerArrival
                               : StreamEventKind::kTaskArrival;
-      auto time = Field(row, 1);
-      auto x = Field(row, 2);
-      auto y = Field(row, 3);
+      auto time = FiniteField(row, 1);
+      auto x = FiniteField(row, 2);
+      auto y = FiniteField(row, 3);
       if (!time.ok()) return time.status();
       if (!x.ok()) return x.status();
       if (!y.ok()) return y.status();
       ev.time = *time;
       if (ev.kind == StreamEventKind::kWorkerArrival) {
-        auto maxdp = Field(row, 4);
-        auto departure = Field(row, 5);
+        auto maxdp = UintField(row, 4, UINT32_MAX);
+        auto departure = LeaveTimeField(row, 5);
         if (!maxdp.ok()) return maxdp.status();
         if (!departure.ok()) return departure.status();
+        if (*maxdp == 0) return Status::ParseError("'w' row with maxdp 0");
         ev.worker.location = Point{*x, *y};
         ev.worker.max_delivery_points = static_cast<uint32_t>(*maxdp);
         ev.departure = *departure;
       } else {
-        auto reward = Field(row, 4);
-        auto queue_expiry = Field(row, 5);
-        auto service_window = Field(row, 6);
+        auto reward = FiniteField(row, 4);
+        auto queue_expiry = LeaveTimeField(row, 5);
+        auto service_window = FiniteField(row, 6);
         if (!reward.ok()) return reward.status();
         if (!queue_expiry.ok()) return queue_expiry.status();
         if (!service_window.ok()) return service_window.status();

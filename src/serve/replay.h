@@ -69,6 +69,12 @@ StatusOr<uint64_t> ReplayTrace(AssignmentServer& server,
 /// CSV round-trip (schema: meta/center/req/w/t rows; see replay.cc).
 std::string SerializeServeTrace(const ServeTrace& trace);
 Status SaveServeTrace(const std::string& path, const ServeTrace& trace);
+/// Parses a trace, returning ParseError for a malformed one: a center,
+/// tick, `ticks`, `final` or maxdp field that is not a plain non-negative
+/// integer in its type's range; a non-finite number (departure and
+/// queue_expiry may be +inf, "never"); a tick_period <= 0 or maxdp 0; a
+/// req row naming an undeclared center; or a center whose request ticks
+/// go backwards, repeat a sealed tick, or change inside an open run.
 StatusOr<ServeTrace> DeserializeServeTrace(const std::string& text);
 StatusOr<ServeTrace> LoadServeTrace(const std::string& path);
 

@@ -90,7 +90,9 @@ uint64_t TickEngine::DigestCatalog() const {
     d.Fold(static_cast<uint64_t>(sts.size()));
     for (const WorkerStrategy& st : sts) {
       d.Fold(static_cast<uint64_t>(st.entry_id));
-      for (uint32_t dp : st.route) d.Fold(static_cast<uint64_t>(dp));
+      for (uint32_t dp : catalog_.route(st)) {
+        d.Fold(static_cast<uint64_t>(dp));
+      }
       d.Fold(st.total_time);
       d.Fold(st.total_reward);
       d.Fold(st.payoff);

@@ -131,7 +131,7 @@ VdpsCatalog VdpsCatalog::Generate(const Instance& instance,
       for (uint32_t e = 0; e < catalog.entries_.size(); ++e) {
         if (vdps_internal::MakeStrategy(catalog.entries_[e], e, offset,
                                         max_dp, &st)) {
-          out.push_back(std::move(st));
+          out.push_back(st);
         }
       }
       std::sort(out.begin(), out.end(), vdps_internal::StrategyOrder{});
@@ -312,9 +312,10 @@ Status VdpsCatalog::ValidateInvariants(const Instance& instance) const {
             w, i));
       }
       const SequenceOption* opt = entry.BestOptionFor(offset);
-      if (opt == nullptr || opt->route != st.route) {
+      if (opt == nullptr ||
+          st.option != static_cast<size_t>(opt - entry.options.data())) {
         return Status::Internal(StrFormat(
-            "worker %zu strategy %zu route differs from BestOptionFor", w,
+            "worker %zu strategy %zu option differs from BestOptionFor", w,
             i));
       }
       if (st.total_time != offset + opt->center_time ||

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "geo/grid_index.h"
@@ -223,20 +224,25 @@ struct DeltaCounters {
 };
 
 /// One strategy of a worker in the FTA game: a VDPS (catalog entry) plus
-/// the concrete sequence and payoff for that worker. The null strategy is
+/// the sequence and payoff for that worker. A flat 32-byte record: the
+/// sequence is named by its index into the entry's Pareto frontier and
+/// read through VdpsCatalog::route(), so building, filtering, remapping
+/// and merging strategies never touches a route. The null strategy is
 /// represented implicitly (see StrategySpace).
 struct WorkerStrategy {
   /// Index into VdpsCatalog::entries().
   uint32_t entry_id = 0;
-  /// The sequence the worker would follow (chosen from the entry's Pareto
-  /// frontier as the fastest one admitting the worker's offset).
-  Route route;
+  /// Index into the entry's `options` of the sequence the worker would
+  /// follow: the fastest one admitting the worker's offset (BestOptionFor).
+  uint32_t option = 0;
   /// Worker travel time from its location through the full route.
   double total_time = 0.0;
   double total_reward = 0.0;
   /// P(w, VDPS(w)) (Definition 7).
   double payoff = 0.0;
 };
+static_assert(std::is_trivially_copyable_v<WorkerStrategy>);
+static_assert(sizeof(WorkerStrategy) == 32);
 
 /// Reference to one worker strategy, as stored in the delivery-point →
 /// strategies inverted index.
@@ -267,7 +273,8 @@ class VdpsCatalog {
   ///   - added delivery points enumerate only their ε-ball neighborhood
   ///     (every C-VDPS containing an added point is a path in the
   ///     ε-adjacency graph, so its members lie within max_set_size - 1
-  ///     hops), with the ε-adjacency CSR patched in place;
+  ///     hops), with the ε-adjacency CSR patched in place, and the ball's
+  ///     DFS only follows paths that can still reach an added point;
   ///   - added workers materialize only their own strategies; existing
   ///     workers evaluate only the new entries.
   ///
@@ -293,6 +300,12 @@ class VdpsCatalog {
     return strategies_[worker_id];
   }
   size_t num_workers() const { return strategies_.size(); }
+
+  /// The sequence strategy `st` follows: option `st.option` of entry
+  /// `st.entry_id`. The one way to read a strategy's route.
+  const Route& route(const WorkerStrategy& st) const {
+    return entries_[st.entry_id].options[st.option].route;
+  }
 
   /// Contiguous copy of strategies(worker_id)[i].payoff (same order, same
   /// bits) — the SoA array the BestResponseEngine's candidate scan streams
@@ -346,7 +359,7 @@ class VdpsCatalog {
   /// Deep self-check (FTA_VALIDATE contract, run once at the end of
   /// Generate): every entry passes ValidateCVdpsEntry, per-worker
   /// strategies are payoff-sorted, reference existing entries, respect
-  /// maxDP, carry the route/total_time/payoff that BestOptionFor would
+  /// maxDP, carry the option/total_time/payoff that BestOptionFor would
   /// materialize today, and the delivery-point → strategies inverted index
   /// matches an independent reconstruction element-for-element.
   Status ValidateInvariants(const Instance& instance) const;

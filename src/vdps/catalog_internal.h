@@ -51,7 +51,7 @@ inline bool MakeStrategy(const CVdpsEntry& entry, uint32_t entry_id,
   const SequenceOption* opt = entry.BestOptionFor(offset);
   if (opt == nullptr) return false;
   out->entry_id = entry_id;
-  out->route = opt->route;
+  out->option = static_cast<uint32_t>(opt - entry.options.data());
   out->total_time = offset + opt->center_time;
   out->total_reward = entry.total_reward;
   out->payoff = entry.total_reward / std::max(out->total_time, kMinTravelTime);

@@ -18,14 +18,31 @@
 //
 //   * Every C-VDPS containing an added delivery point is realized by a
 //     deadline-feasible sequence, i.e. a path in the ε-adjacency graph, so
-//     all of its members lie within max_set_size - 1 hops of the added
+//     all of its members lie within max_set_size - 1 hops of an added
 //     point. Enumerating the BFS ball around the additions as a restricted
-//     sub-instance (sorted members, strictly increasing local id map)
-//     replays the exact serial DFS the full generator would run for those
-//     sets: same roots in the same relative order, same ascending
-//     adjacency-row extensions, same float arithmetic on the same point
-//     pairs, hence the same raw-option order into the same Pareto
-//     selection.
+//     sub-instance (sorted members, strictly increasing local id map),
+//     along the patched ε-adjacency restricted to the ball (exactly the
+//     rows a GridIndex over the ball's points would build), replays the
+//     exact serial DFS the full generator would run for those sets: same
+//     roots in the same relative order, same ascending adjacency-row
+//     extensions, same float arithmetic on the same point pairs, hence the
+//     same raw-option order into the same Pareto selection.
+//
+//   * The sub-enumeration is goal-directed (EnumerationFocus in
+//     generators.h). The BFS records each point's hop distance h(v) to
+//     the nearest added point. While a partial sequence's set holds no
+//     added point, the DFS enters v as the set's k-th member only if
+//     h(v) <= cap - k, and only sets holding an added point are interned.
+//     Take any path v_1 ... v_m (m <= cap) that realizes a set holding an
+//     added point, and let v_a be its first added point. For each prefix
+//     end v_k with k < a, the path v_k ... v_a has a - k hops, so
+//     h(v_k) <= a - k <= cap - k: the prefix passes the test. Prefixes
+//     from v_a on hold an added point and are not tested. So every path
+//     of every kept set is still walked, in the same relative order, and
+//     records the same (center_time, slack) options in the same order;
+//     the Pareto selection of each kept set is unchanged. The pruned
+//     subtrees and the sets no longer interned hold no added point, and
+//     the unfocused run discarded exactly those sets too.
 //
 //   * Sorted merges under the shared total orders (EntryOrder,
 //     StrategyOrder — see catalog_internal.h) equal a full re-sort, so the
@@ -57,6 +74,9 @@ namespace {
 
 /// Sentinel new-id for a removed element in an old → new id map.
 constexpr uint32_t kRemovedId = 0xffffffffu;
+
+/// Sentinel hop distance and local id of a point outside the ε-ball.
+constexpr uint32_t kOutsideBall = 0xffffffffu;
 
 /// Mirrors a finished delta application into the process-wide metrics
 /// registry (counter adds only; wall time to a histogram).
@@ -234,7 +254,8 @@ Status VdpsCatalog::ApplyDelta(const Instance& new_instance,
 
   // ---- 2. Worker removal + strategy filter under the entry renumber.
   // Payoffs are untouched and entry ids remap monotonically, so each
-  // surviving list stays sorted by (payoff desc, entry asc). ----
+  // surviving list stays sorted by (payoff desc, entry asc); a strategy
+  // names its route by option index, which the entry renumber keeps. ----
   {
     size_t out = 0;
     for (size_t w = 0; w < strategies_.size(); ++w) {
@@ -244,9 +265,8 @@ Status VdpsCatalog::ApplyDelta(const Instance& new_instance,
       size_t kept = 0;
       for (size_t i = 0; i < sts.size(); ++i) {
         if (entry_map[sts[i].entry_id] == kRemovedId) continue;
-        if (kept != i) sts[kept] = std::move(sts[i]);
+        sts[kept] = sts[i];
         sts[kept].entry_id = entry_map[sts[kept].entry_id];
-        if (!plan.removed_dps.empty()) RemapIds(sts[kept].route, dp_map);
         ++kept;
       }
       sts.resize(kept);
@@ -313,10 +333,12 @@ Status VdpsCatalog::ApplyDelta(const Instance& new_instance,
     adjacency_ = RadiusAdjacency{};
   }
 
-  // ---- 4. Neighborhood sub-enumeration for the added delivery points:
+  // ---- 4. Goal-directed sub-enumeration for the added delivery points:
   // every new C-VDPS holds at least one added point, and all of its
-  // members lie within cap - 1 ε-hops of one, so enumerating the BFS ball
-  // as a restricted sub-instance finds each exactly once. ----
+  // members lie within cap - 1 ε-hops of one. The BFS ball around the
+  // additions, as a restricted sub-instance enumerated along the patched
+  // adjacency, finds each such set exactly once; the BFS hop distances
+  // focus the DFS on the sets that hold an added point. ----
   std::vector<CVdpsEntry> fresh;
   if (plan.added_dps > 0) {
     Stopwatch enum_sw;
@@ -325,40 +347,59 @@ Status VdpsCatalog::ApplyDelta(const Instance& new_instance,
         config_.max_set_size == 0
             ? static_cast<uint32_t>(new_dps)
             : std::min(config_.max_set_size, static_cast<uint32_t>(new_dps));
-    std::vector<uint32_t> hood;  // new ids, built sorted below
+    // hops[id]: ε-hop distance to the nearest added point (every point is
+    // one hop from every other when ε = ∞).
+    std::vector<uint32_t> hops(new_dps, pruned ? kOutsideBall : 1u);
+    std::vector<uint32_t> frontier;
+    for (size_t k = 0; k < plan.added_dps; ++k) {
+      const uint32_t id = static_cast<uint32_t>(surviving_dps + k);
+      hops[id] = 0;
+      frontier.push_back(id);
+    }
     if (pruned) {
-      std::vector<uint8_t> seen(new_dps, 0);
-      std::vector<uint32_t> frontier;
-      for (size_t k = 0; k < plan.added_dps; ++k) {
-        const uint32_t id = static_cast<uint32_t>(surviving_dps + k);
-        seen[id] = 1;
-        frontier.push_back(id);
-      }
+      std::vector<uint32_t> next_frontier;
       for (uint32_t depth = 1; depth < cap && !frontier.empty(); ++depth) {
-        std::vector<uint32_t> next_frontier;
+        next_frontier.clear();
         for (uint32_t v : frontier) {
           for (const uint32_t* p = adjacency_.begin(v);
                p != adjacency_.end(v); ++p) {
-            if (!seen[*p]) {
-              seen[*p] = 1;
+            if (hops[*p] == kOutsideBall) {
+              hops[*p] = depth;
               next_frontier.push_back(*p);
             }
           }
         }
-        frontier = std::move(next_frontier);
+        frontier.swap(next_frontier);
       }
-      for (uint32_t id = 0; id < new_dps; ++id) {
-        if (seen[id]) hood.push_back(id);
-      }
-    } else {
-      hood.resize(new_dps);
-      for (uint32_t id = 0; id < new_dps; ++id) hood[id] = id;
+    }
+    // The ball (hops < cap) in ascending new id: hood maps local ids to
+    // new ids and local_of back, both strictly increasing, so the DFS
+    // over the sub-instance replays the full generator's relative order.
+    std::vector<uint32_t> hood;
+    std::vector<uint32_t> local_of(new_dps, kOutsideBall);
+    EnumerationFocus focus;
+    for (uint32_t id = 0; id < new_dps; ++id) {
+      if (hops[id] >= cap) continue;
+      local_of[id] = static_cast<uint32_t>(hood.size());
+      hood.push_back(id);
+      focus.hops.push_back(hops[id]);
     }
     d.neighborhood_dps = hood.size();
+    if (pruned) {
+      RadiusAdjacency& adj = focus.adjacency;
+      adj.offsets.reserve(hood.size() + 1);
+      adj.offsets.push_back(0);
+      for (uint32_t id : hood) {
+        for (const uint32_t* p = adjacency_.begin(id); p != adjacency_.end(id);
+             ++p) {
+          if (local_of[*p] != kOutsideBall) {
+            adj.neighbors.push_back(local_of[*p]);
+          }
+        }
+        adj.offsets.push_back(static_cast<uint32_t>(adj.neighbors.size()));
+      }
+    }
 
-    // Restricted sub-instance over the (sorted) neighborhood: the local id
-    // map is strictly increasing, so the serial DFS replays the full
-    // generator's relative discovery order for every set inside the ball.
     std::vector<DeliveryPoint> sub_dps;
     sub_dps.reserve(hood.size());
     for (uint32_t id : hood) {
@@ -366,23 +407,18 @@ Status VdpsCatalog::ApplyDelta(const Instance& new_instance,
     }
     const Instance sub_instance(new_instance.center(), std::move(sub_dps),
                                 {}, new_instance.travel());
-    VdpsConfig sub_config = config_;
-    sub_config.num_threads = 1;  // deltas are small; keep the DFS serial
     GenerationResult sub =
-        GenerateCVdpsSequences(sub_instance, sub_config, nullptr);
+        GenerateCVdpsSequences(sub_instance, config_, nullptr, &focus);
     d.subenum_states = sub.counters.states_expanded;
 
-    fresh.reserve(sub.entries.size());
-    for (CVdpsEntry& entry : sub.entries) {
+    fresh = std::move(sub.entries);
+    for (CVdpsEntry& entry : fresh) {
       for (uint32_t& id : entry.dps) id = hood[id];
-      // Keep only sets touching an added point (ids past the survivors);
-      // the rest were feasible before the delta and already live in
-      // entries_, byte-identically.
-      if (entry.dps.back() < surviving_dps) continue;
       for (SequenceOption& opt : entry.options) {
         for (uint32_t& id : opt.route) id = hood[id];
       }
-      fresh.push_back(std::move(entry));
+      // Focused: every set holds an added point (ids past the survivors).
+      FTA_DCHECK(entry.dps.back() >= surviving_dps);
     }
     d.entries_added = fresh.size();
     d.enumerate_ms = enum_sw.ElapsedMillis();
@@ -390,31 +426,27 @@ Status VdpsCatalog::ApplyDelta(const Instance& new_instance,
 
   // ---- 5. Merge the fresh entries into the survivor list under the
   // shared EntryOrder (both inputs sorted; ids are disjoint because a
-  // fresh set contains an added point no old set could). ----
+  // fresh set contains an added point no old set could). The merge runs
+  // from the back of the grown list, so survivors shift right in place
+  // and the merge needs no second entry array. ----
   std::vector<uint32_t> final_of_survivor(entries_.size());
   std::vector<uint32_t> final_of_fresh(fresh.size());
-  if (!fresh.empty()) {
+  {
     const vdps_internal::EntryOrder less;
-    std::vector<CVdpsEntry> merged;
-    merged.reserve(entries_.size() + fresh.size());
-    size_t i = 0;
-    size_t j = 0;
-    while (i < entries_.size() || j < fresh.size()) {
-      const bool take_old =
-          j >= fresh.size() ||
-          (i < entries_.size() && less(entries_[i], fresh[j]));
-      if (take_old) {
-        final_of_survivor[i] = static_cast<uint32_t>(merged.size());
-        merged.push_back(std::move(entries_[i++]));
+    size_t i = entries_.size();
+    size_t j = fresh.size();
+    entries_.resize(i + j);
+    for (size_t k = entries_.size(); j > 0;) {
+      if (i > 0 && less(fresh[j - 1], entries_[i - 1])) {
+        final_of_survivor[--i] = static_cast<uint32_t>(--k);
+        entries_[k] = std::move(entries_[i]);
       } else {
-        final_of_fresh[j] = static_cast<uint32_t>(merged.size());
-        merged.push_back(std::move(fresh[j++]));
+        final_of_fresh[--j] = static_cast<uint32_t>(--k);
+        entries_[k] = std::move(fresh[j]);
       }
     }
-    entries_ = std::move(merged);
-  } else {
-    for (size_t i = 0; i < final_of_survivor.size(); ++i) {
-      final_of_survivor[i] = static_cast<uint32_t>(i);
+    for (size_t r = 0; r < i; ++r) {
+      final_of_survivor[r] = static_cast<uint32_t>(r);
     }
   }
 
@@ -422,49 +454,61 @@ Status VdpsCatalog::ApplyDelta(const Instance& new_instance,
   // (monotone again), evaluate only the fresh entries for surviving
   // workers, build added workers from scratch, and merge per worker under
   // the shared StrategyOrder — a strict total order, so the merge equals
-  // Generate's full std::sort. ----
+  // Generate's full std::sort. Strategies are flat records: the patch
+  // copies no route, and every per-strategy write goes to the reused
+  // `additions` buffer or to a list grown once per worker. ----
   Stopwatch strat_sw;
   {
     FTA_SPAN("vdps/delta_strategies");
+    const vdps_internal::StrategyOrder before;
     std::vector<WorkerStrategy> additions;
+    additions.reserve(final_of_fresh.size());
+    WorkerStrategy st;
+    // FTA_HOT_BEGIN(delta-strategy-patch)
     for (size_t w = 0; w < strategies_.size(); ++w) {
       std::vector<WorkerStrategy>& sts = strategies_[w];
-      for (WorkerStrategy& st : sts) {
-        st.entry_id = final_of_survivor[st.entry_id];
+      for (WorkerStrategy& kept : sts) {
+        kept.entry_id = final_of_survivor[kept.entry_id];
       }
       if (final_of_fresh.empty()) continue;
       const double offset = new_instance.WorkerToCenterTime(w);
       const uint32_t max_dp = new_instance.worker(w).max_delivery_points;
       additions.clear();
-      WorkerStrategy st;
       for (uint32_t final_id : final_of_fresh) {
         if (vdps_internal::MakeStrategy(entries_[final_id], final_id, offset,
                                         max_dp, &st)) {
-          additions.push_back(std::move(st));
+          additions.push_back(st);
         }
       }
-      std::sort(additions.begin(), additions.end(),
-                vdps_internal::StrategyOrder{});
-      const size_t boundary = sts.size();
-      sts.insert(sts.end(), additions.begin(), additions.end());
-      std::inplace_merge(sts.begin(),
-                         sts.begin() + static_cast<ptrdiff_t>(boundary),
-                         sts.end(), vdps_internal::StrategyOrder{});
+      if (additions.empty()) continue;
+      std::sort(additions.begin(), additions.end(), before);
+      // Merge from the back into the grown list: the survivors shift right
+      // in place, so no temporary is needed.
+      size_t i = sts.size();
+      size_t j = additions.size();
+      sts.resize(i + j);
+      for (size_t k = sts.size(); j > 0;) {
+        if (i > 0 && before(additions[j - 1], sts[i - 1])) {
+          sts[--k] = sts[--i];
+        } else {
+          sts[--k] = additions[--j];
+        }
+      }
     }
     strategies_.resize(surviving_workers + plan.added_workers);
     for (size_t w = surviving_workers; w < strategies_.size(); ++w) {
       const double offset = new_instance.WorkerToCenterTime(w);
       const uint32_t max_dp = new_instance.worker(w).max_delivery_points;
-      std::vector<WorkerStrategy>& out = strategies_[w];
-      WorkerStrategy st;
+      additions.clear();
       for (uint32_t e = 0; e < entries_.size(); ++e) {
-        if (vdps_internal::MakeStrategy(entries_[e], e, offset, max_dp,
-                                        &st)) {
-          out.push_back(std::move(st));
+        if (vdps_internal::MakeStrategy(entries_[e], e, offset, max_dp, &st)) {
+          additions.push_back(st);
         }
       }
-      std::sort(out.begin(), out.end(), vdps_internal::StrategyOrder{});
+      std::sort(additions.begin(), additions.end(), before);
+      strategies_[w].assign(additions.begin(), additions.end());
     }
+    // FTA_HOT_END(delta-strategy-patch)
   }
   d.strategies_ms = strat_sw.ElapsedMillis();
   uint64_t total_strategies = 0;
@@ -478,7 +522,9 @@ Status VdpsCatalog::ApplyDelta(const Instance& new_instance,
   Stopwatch index_sw;
   {
     FTA_SPAN("vdps/delta_index");
-    touching_.assign(new_dps, {});
+    // Clear, don't free: each slot keeps its capacity for the next tick.
+    touching_.resize(new_dps);
+    for (std::vector<StrategyRef>& refs : touching_) refs.clear();
     for (uint32_t w = 0; w < strategies_.size(); ++w) {
       for (size_t i = 0; i < strategies_[w].size(); ++i) {
         for (uint32_t dp : entries_[strategies_[w][i].entry_id].dps) {

@@ -1,6 +1,7 @@
 #ifndef FTA_VDPS_GENERATORS_H_
 #define FTA_VDPS_GENERATORS_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "geo/grid_index.h"
@@ -34,6 +35,24 @@ struct GenerationResult {
 GenerationResult GenerateCVdpsExact(const Instance& instance,
                                     const VdpsConfig& config);
 
+/// Goal-directed restriction of GenerateCVdpsSequences, passed only by
+/// VdpsCatalog::ApplyDelta for its ε-ball sub-enumeration: only the sets
+/// that hold a goal point (a delivery point the delta added) are wanted.
+/// The DFS expands a partial sequence only while its set holds a goal or
+/// the goal nearest to its last point is within the remaining hops, and
+/// interns a set only once it holds a goal. Every path of a wanted set
+/// passes both tests at every prefix, so such a set gets the same raw
+/// options in the same order as an unfocused run (delta.cc states the
+/// full argument).
+struct EnumerationFocus {
+  /// Per delivery point of the instance: ε-hop distance to the nearest
+  /// goal point (0 for a goal point itself).
+  std::vector<uint32_t> hops;
+  /// The instance's ε-adjacency, enumerated along instead of building a
+  /// GridIndex. Ignored when ε = ∞.
+  RadiusAdjacency adjacency;
+};
+
 /// Scalable C-VDPS generation: depth-first enumeration of deadline-feasible
 /// delivery point sequences from the center, extending only along the
 /// precomputed ε-adjacency of the current point and at most max_set_size
@@ -46,9 +65,12 @@ GenerationResult GenerateCVdpsExact(const Instance& instance,
 /// catalog is bit-identical to the serial run at any thread count. When
 /// config.max_entries > 0 the run stays single-sharded so the truncation
 /// point matches the serial enumeration exactly.
-GenerationResult GenerateCVdpsSequences(const Instance& instance,
-                                        const VdpsConfig& config,
-                                        ThreadPool* pool = nullptr);
+///
+/// A non-null `focus` restricts the run to the sets holding a goal point
+/// (see EnumerationFocus).
+GenerationResult GenerateCVdpsSequences(
+    const Instance& instance, const VdpsConfig& config,
+    ThreadPool* pool = nullptr, const EnumerationFocus* focus = nullptr);
 
 /// Approximate C-VDPS generation for large max_set_size, where exhaustive
 /// sequence enumeration explodes combinatorially: a level-wise beam search

@@ -31,6 +31,9 @@ struct DfsContext {
   const DistanceMatrix* dm = nullptr;
   /// ε-neighbor rows; nullptr when ε = ∞ disables pruning.
   const RadiusAdjacency* adj = nullptr;
+  /// Goal hop distances of a focused run (EnumerationFocus::hops);
+  /// nullptr for a full enumeration.
+  const std::vector<uint32_t>* hops = nullptr;
   uint32_t n = 0;
   uint32_t cap = 0;
   /// SoA mirrors of the two per-delivery-point fields the DFS inner loop
@@ -63,21 +66,40 @@ class ShardDfs {
   /// constrains inter-point hops only.
   void RunRoots(uint32_t begin, uint32_t end) {
     for (uint32_t j = begin; j < end; ++j) {
+      // Focus pruning: a root farther than cap - 1 hops from every goal
+      // starts no set that could hold one.
+      if (ctx_.hops != nullptr && (*ctx_.hops)[j] >= ctx_.cap) continue;
       const double arr = ctx_.dm->FromOrigin(j);
       const double slack = ctx_.earliest_expiry[j] - arr;
       if (slack < 0.0) continue;
-      in_route_[j] = true;
-      key_.push_back(j);
+      Enter(j);
       Dfs(j, arr, slack, shard_.arena.Push(RouteArena::kNone, j));
-      key_.pop_back();
-      in_route_[j] = false;
+      Leave(j);
     }
   }
 
  private:
+  bool IsGoal(uint32_t dp) const {
+    return ctx_.hops != nullptr && (*ctx_.hops)[dp] == 0;
+  }
+
+  void Enter(uint32_t dp) {
+    in_route_[dp] = true;
+    key_.insert(std::lower_bound(key_.begin(), key_.end(), dp), dp);
+    if (IsGoal(dp)) ++goals_;
+  }
+
+  void Leave(uint32_t dp) {
+    if (IsGoal(dp)) --goals_;
+    key_.erase(std::lower_bound(key_.begin(), key_.end(), dp));
+    in_route_[dp] = false;
+  }
+
   /// Records the current sequence (its set is `key_`, its route is the
-  /// arena chain ending at `node`) as a raw option.
+  /// arena chain ending at `node`) as a raw option. A focused run skips
+  /// sets without a goal point.
   void Record(double arrival, double slack, uint32_t node) {
+    if (ctx_.hops != nullptr && goals_ == 0) return;
     GenerationCounters& c = shard_.counters;
     // What the pre-arena implementation would have spent here: a sort-key
     // copy plus a full route copy per recorded sequence...
@@ -122,8 +144,14 @@ class ShardDfs {
     sc.arr.clear();
     sc.slk.clear();
     const double* row = ctx_.dm->TimeRow(last);
+    // Focus pruning: while the set holds no goal point, enter a neighbor
+    // only if a goal lies within the hops the size cap leaves after it.
+    const uint32_t* hops =
+        ctx_.hops != nullptr && goals_ == 0 ? ctx_.hops->data() : nullptr;
+    const size_t hops_left = ctx_.cap - key_.size() - 1;
     const auto gather = [&](uint32_t next) {
       if (in_route_[next]) return;
+      if (hops != nullptr && hops[next] > hops_left) return;
       const double arr = arrival + row[next];
       const double slk = std::min(slack, ctx_.earliest_expiry[next] - arr);
       if (slk < 0.0) return;  // misses a deadline even with offset 0
@@ -141,11 +169,9 @@ class ShardDfs {
     }
     for (size_t k = 0; k < sc.next.size(); ++k) {
       const uint32_t next = sc.next[k];
-      in_route_[next] = true;
-      key_.insert(std::lower_bound(key_.begin(), key_.end(), next), next);
+      Enter(next);
       Dfs(next, sc.arr[k], sc.slk[k], shard_.arena.Push(node, next));
-      key_.erase(std::lower_bound(key_.begin(), key_.end(), next));
-      in_route_[next] = false;
+      Leave(next);
     }
   }
 
@@ -166,13 +192,16 @@ class ShardDfs {
   /// stores by sorted id sequences, and maintaining the key incrementally
   /// (|key| <= max_set_size) replaces the old copy+sort per Record.
   std::vector<uint32_t> key_;
+  /// Goal points in key_ (focused runs only).
+  uint32_t goals_ = 0;
 };
 
 }  // namespace
 
 GenerationResult GenerateCVdpsSequences(const Instance& instance,
                                         const VdpsConfig& config,
-                                        ThreadPool* pool) {
+                                        ThreadPool* pool,
+                                        const EnumerationFocus* focus) {
   GenerationResult result;
   const uint32_t n = static_cast<uint32_t>(instance.num_delivery_points());
   if (n == 0) return result;
@@ -181,10 +210,10 @@ GenerationResult GenerateCVdpsSequences(const Instance& instance,
                           instance.travel());
 
   // ε-adjacency precompute: one radius query per delivery point up front
-  // instead of one per expanded DFS state.
+  // instead of one per expanded DFS state. A focused run brings its own.
   RadiusAdjacency adj;
   const bool pruned = !std::isinf(config.epsilon);
-  if (pruned) {
+  if (pruned && focus == nullptr) {
     Stopwatch adj_sw;
     FTA_SPAN("vdps/adjacency");
     const GridIndex grid(instance.DeliveryPointLocations(), config.epsilon);
@@ -197,7 +226,8 @@ GenerationResult GenerateCVdpsSequences(const Instance& instance,
   ctx.instance = &instance;
   ctx.config = &config;
   ctx.dm = &dm;
-  ctx.adj = pruned ? &adj : nullptr;
+  ctx.adj = !pruned ? nullptr : (focus != nullptr ? &focus->adjacency : &adj);
+  ctx.hops = focus != nullptr ? &focus->hops : nullptr;
   ctx.n = n;
   ctx.cap = config.max_set_size == 0 ? n : std::min(config.max_set_size, n);
   ctx.earliest_expiry.resize(n);

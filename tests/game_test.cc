@@ -243,7 +243,7 @@ TEST_P(FgtPropertyTest, ConvergesToVerifiedNash) {
     if (route.empty()) continue;
     int32_t idx = kNullStrategy;
     for (size_t i = 0; i < catalog.strategies(w).size(); ++i) {
-      if (catalog.strategies(w)[i].route == route) {
+      if (catalog.route(catalog.strategies(w)[i]) == route) {
         idx = static_cast<int32_t>(i);
         break;
       }
@@ -435,7 +435,7 @@ TEST_P(UpdateOrderTest, AllOrdersReachVerifiedNash) {
       const Route& route = result.assignment.route(w);
       if (route.empty()) continue;
       for (size_t i = 0; i < catalog.strategies(w).size(); ++i) {
-        if (catalog.strategies(w)[i].route == route) {
+        if (catalog.route(catalog.strategies(w)[i]) == route) {
           state.Apply(w, static_cast<int32_t>(i));
           break;
         }
@@ -535,7 +535,7 @@ TEST(IegtTest, TerminalStateHasNoPressuredImprover) {
     const Route& route = result.assignment.route(w);
     if (route.empty()) continue;
     for (size_t i = 0; i < catalog.strategies(w).size(); ++i) {
-      if (catalog.strategies(w)[i].route == route) {
+      if (catalog.route(catalog.strategies(w)[i]) == route) {
         state.Apply(w, static_cast<int32_t>(i));
         break;
       }

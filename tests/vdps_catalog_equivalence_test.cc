@@ -100,7 +100,8 @@ void ExpectCatalogsIdentical(const VdpsCatalog& a, const VdpsCatalog& b,
     ASSERT_EQ(sa.size(), sb.size());
     for (size_t i = 0; i < sa.size(); ++i) {
       EXPECT_EQ(sa[i].entry_id, sb[i].entry_id);
-      EXPECT_EQ(sa[i].route, sb[i].route);
+      EXPECT_EQ(sa[i].option, sb[i].option);
+      EXPECT_EQ(a.route(sa[i]), b.route(sb[i]));
       EXPECT_EQ(sa[i].total_time, sb[i].total_time);
       EXPECT_EQ(sa[i].total_reward, sb[i].total_reward);
       EXPECT_EQ(sa[i].payoff, sb[i].payoff);

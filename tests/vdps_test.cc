@@ -315,7 +315,7 @@ TEST(BeamTest, PlumbedThroughCatalogGenerate) {
   // Strategies still verify against the instance.
   for (size_t w = 0; w < catalog.num_workers(); ++w) {
     for (const WorkerStrategy& st : catalog.strategies(w)) {
-      EXPECT_TRUE(EvaluateRoute(inst, w, st.route).feasible);
+      EXPECT_TRUE(EvaluateRoute(inst, w, catalog.route(st)).feasible);
     }
   }
 }
@@ -351,7 +351,8 @@ TEST(CatalogTest, StrategyRoutesAreFeasibleForWorker) {
   const VdpsCatalog catalog = VdpsCatalog::Generate(inst, VdpsConfig{});
   for (size_t w = 0; w < catalog.num_workers(); ++w) {
     for (const WorkerStrategy& st : catalog.strategies(w)) {
-      const RouteEvaluation eval = EvaluateRoute(inst, w, st.route);
+      const RouteEvaluation eval =
+          EvaluateRoute(inst, w, catalog.route(st));
       EXPECT_TRUE(eval.feasible)
           << "worker " << w << " route infeasible";
       EXPECT_NEAR(eval.total_time, st.total_time, 1e-9);

@@ -78,11 +78,13 @@ tools/fta_lint/testdata/ and pin every diagnostic exactly.
       An allocation (`new`, make_unique/make_shared) or a growth call
       (push_back/emplace_back on a container with no `.reserve(` in the
       same file) inside a marked steady-state region of
-      src/game/best_response* or src/game/payoff_ledger*. Regions are
-      delimited by `// FTA_HOT_BEGIN(name)` / `// FTA_HOT_END(name)`
-      comments; these are the per-round inner loops the paper's
-      complexity claims are measured on, and a hidden realloc there
-      shows up as a latency spike the bench trajectory cannot explain.
+      src/game/best_response*, src/game/payoff_ledger* or
+      src/vdps/delta*. Regions are delimited by `// FTA_HOT_BEGIN(name)`
+      / `// FTA_HOT_END(name)` comments; these are the per-round inner
+      loops the paper's complexity claims are measured on and the
+      per-strategy patch of every warm serving tick, and a hidden realloc
+      there shows up as a latency spike the bench trajectory cannot
+      explain.
       Escape with `// NOLINT(fta-alloc)` plus a reason when the
       allocation is amortized by design (e.g. a caller-owned buffer).
 
@@ -166,10 +168,15 @@ RAW_MUTEX = re.compile(
 # The one file allowed to touch std locking: the annotated wrapper layer.
 MUTEX_SANCTIONED = ("src/util/mutex.h",)
 
-# Steady-state hot regions: the per-round inner loops of the game engine.
-# Markers are comments, so they are read from the RAW lines (scrub blanks
-# comments); region bodies are checked on the scrubbed lines.
-HOT_REGION_FILES = ("src/game/best_response", "src/game/payoff_ledger")
+# Steady-state hot regions: the per-round inner loops of the game engine
+# and the per-strategy patch of the warm catalog delta. Markers are
+# comments, so they are read from the RAW lines (scrub blanks comments);
+# region bodies are checked on the scrubbed lines.
+HOT_REGION_FILES = (
+    "src/game/best_response",
+    "src/game/payoff_ledger",
+    "src/vdps/delta",
+)
 HOT_BEGIN = re.compile(r"//\s*FTA_HOT_BEGIN\(([\w.-]+)\)")
 HOT_END = re.compile(r"//\s*FTA_HOT_END\(([\w.-]+)\)")
 HOT_ALLOC = re.compile(

@@ -150,6 +150,11 @@ class ViolationFixtures(unittest.TestCase):
             "an unordered container feeds a result container without a "
             "subsequent sort or an order-invariant fold; bucket order will "
             "leak into the output",
+            "src/vdps/delta_hot.cc:22: [hot-path-allocation] "
+            "'route.push_back' in hot region 'delta-strategy-patch' may "
+            "reallocate — no 'route.reserve(' anywhere in this file; size "
+            "the container up front or reuse a caller-owned buffer "
+            "(// NOLINT(fta-alloc) with a reason if amortized by design)",
         ]
         self.assertEqual(self.lines, expected)
 
@@ -187,6 +192,10 @@ class ViolationFixtures(unittest.TestCase):
         # region, and the NOLINT(fta-alloc) escape: clean.
         for line in (16, 24, 27):
             self.assertNotIn(f"src/game/best_response_hot.cc:{line}:", text)
+        # The delta patch's reserved strategy buffer and the merge after
+        # the region: clean.
+        for line in (23, 26):
+            self.assertNotIn(f"src/vdps/delta_hot.cc:{line}:", text)
 
 
 class JsonFormat(unittest.TestCase):
