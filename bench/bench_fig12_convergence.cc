@@ -21,21 +21,19 @@ void PrintTrace(const char* name, const GameResult& result,
                               result.converged ? "yes" : "no",
                               result.rounds),
                 header);
-  std::vector<double> pdif, avg, phi, changes, scanned, skips;
+  std::vector<double> pdif, avg, phi, changes, scanned;
   for (const IterationStats& s : result.trace) {
     pdif.push_back(s.payoff_difference);
     avg.push_back(s.average_payoff);
     phi.push_back(s.potential);
     changes.push_back(static_cast<double>(s.num_changes));
     scanned.push_back(static_cast<double>(s.engine.strategies_scanned));
-    skips.push_back(static_cast<double>(s.engine.cache_skips));
   }
   t.AddNumericRow("P_dif", pdif);
   t.AddNumericRow("avg payoff", avg);
   if (with_potential) t.AddNumericRow("potential", phi);
   t.AddNumericRow("moves", changes);
   t.AddNumericRow("scanned", scanned);
-  t.AddNumericRow("cache skips", skips);
   std::printf("%s\n", t.ToText().c_str());
 }
 

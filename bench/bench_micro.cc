@@ -8,9 +8,9 @@
 // gate (BENCH_obs.json), the payoff-ledger gate (BENCH_game.json) — which
 // fails the binary unless the ledger Evaluate path does zero steady-state
 // heap allocations and beats the OthersView rebuild path by >= 5x — and
-// the SIMD kernel gate (BENCH_simd.json), which requires the batched
-// AVX2 candidate scan to beat the legacy per-candidate ledger path by
-// >= 2x per Evaluate at |W| >= 256 (report-only on hosts without AVX2).
+// the SIMD kernel gate (BENCH_simd.json), which requires the fused AVX2
+// batch kernel to beat the legacy per-candidate fold by >= 2x over the
+// same candidates at |W| >= 256 (report-only on hosts without AVX2).
 
 #include <benchmark/benchmark.h>
 
@@ -26,6 +26,7 @@
 
 #include "bench/common.h"
 #include "fta/fta.h"
+#include "game/iau_kernels.h"
 #include "util/check.h"
 
 // Global allocation counter backing the game gate's zero-allocation claim:
@@ -160,52 +161,18 @@ void BM_BestResponseRoundsParallel(benchmark::State& state) {
   if (config.engine.num_threads > 1) {
     config.engine.pool = &bench::SharedBenchPool(config.engine.num_threads);
   }
-  config.engine.use_incremental_index = false;  // isolate the fan-out
+  // Isolate the fan-out: at beta >= 1 the engine runs the full scan, the
+  // only path that fans out (the monotone early exit is serial).
+  config.iau = IauParams{1.0, 1.0};
   uint64_t candidates = 0;
   for (auto _ : state) {
     const GameResult result = SolveFgt(inst, catalog, config);
-    candidates += result.engine.strategies_scanned +
-                  result.engine.cache_skips;
+    candidates += result.engine.strategies_scanned;
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(static_cast<int64_t>(candidates));
 }
 BENCHMARK(BM_BestResponseRoundsParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-// Cold (full availability re-check every turn) vs incremental (inverted
-// index + dirty bits). Arg(0/1) = index off/on. Counter columns show the
-// per-run scan reduction; wall time shows the payoff.
-void BM_BestResponseIncrementalIndex(benchmark::State& state) {
-  const Instance inst = GmInstance();
-  const VdpsCatalog catalog = VdpsCatalog::Generate(inst, PrunedVdps());
-  FgtConfig config;
-  config.engine.use_incremental_index = state.range(0) != 0;
-  config.record_trace = true;
-  uint64_t scanned = 0;
-  uint64_t skipped = 0;
-  uint64_t scanned_after_r1 = 0;  // the steady-state scan load
-  for (auto _ : state) {
-    const GameResult result = SolveFgt(inst, catalog, config);
-    scanned += result.engine.strategies_scanned;
-    skipped += result.engine.cache_skips;
-    for (const IterationStats& it : result.trace) {
-      if (it.iteration >= 2) {
-        scanned_after_r1 += it.engine.strategies_scanned;
-      }
-    }
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["scanned"] =
-      benchmark::Counter(static_cast<double>(scanned),
-                         benchmark::Counter::kAvgIterations);
-  state.counters["scanned_r2plus"] =
-      benchmark::Counter(static_cast<double>(scanned_after_r1),
-                         benchmark::Counter::kAvgIterations);
-  state.counters["cache_skips"] =
-      benchmark::Counter(static_cast<double>(skipped),
-                         benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_BestResponseIncrementalIndex)->Arg(0)->Arg(1);
 
 void BM_IegtSolve(benchmark::State& state) {
   const Instance inst = GmInstance();
@@ -610,7 +577,7 @@ int RunGameLedgerGate(size_t num_workers) {
     }
   }
 
-  // Warm both paths (first-touch page faults, availability cache), then
+  // Warm both paths (first-touch page faults), then
   // count heap allocations across a steady-state sweep of each.
   constexpr int kSweeps = 20;
   constexpr int kReps = 5;
@@ -725,24 +692,29 @@ int RunGameLedgerGate(size_t num_workers) {
   return 0;
 }
 
-// SIMD kernel gate: proves the tentpole claims of the batched payoff
-// kernels (game/iau_kernels.h, util/simd.h) on a purpose-built instance
-// that exercises the candidate scan the ledger gate's chain instance
-// deliberately empties out. Three hard gates on AVX2 hosts:
+// SIMD kernel gate: proves the claims of the batched payoff kernels
+// (game/iau_kernels.h, util/simd.h) on a purpose-built instance whose
+// workers each have hundreds of available candidates. The engine runs at
+// alpha = beta = 1, where the IAU is not monotone in own payoff and
+// Evaluate takes the full-scan path through SortedIauBatchArgmax (at the
+// paper's alpha = beta = 0.5 the monotone early exit scores one or two
+// candidates, which would time the exit, not the kernel). Three hard
+// gates on AVX2 hosts:
 //
-//   1. Zero steady-state heap allocations on the batched Evaluate path
-//      (the gather scratch and rank chunks are sized once).
-//   2. >= 2x per-Evaluate speedup over the legacy per-candidate ledger
-//      path (exclude-one view + one view.Iau per candidate through the
-//      AoS strategy records — the engine's code before the kernel layer,
-//      replicated below so production stays single-path).
-//   3. The replica and the engine choose the same best response for every
-//      worker (the baseline must be semantically the old path, not a
-//      strawman).
+//   1. Zero steady-state heap allocations on the engine's full-scan
+//      Evaluate path (the gather scratch and rank chunks are sized once).
+//   2. >= 2x kernel speedup: one SortedIauBatchArgmax per worker against
+//      the legacy per-candidate fold (one view.Iau — lower_bound plus the
+//      sorted expression tree — per candidate, earliest strict maximum),
+//      both over the same gathered candidate payoffs and the same
+//      exclude-one view. Availability checks and the view build sit
+//      outside both timers, so the ratio is the kernel's alone.
+//   3. The legacy replica and the engine choose the same best response for
+//      every worker (the baseline must be semantically the old path, not a
+//      strawman), and the kernel's argmax equals the fold's on every batch.
 //
 // Without AVX2 the same numbers are measured and written but the speedup
-// is report-only (the scalar batch is the same rank algorithm the legacy
-// path runs, just batched). Results go to BENCH_simd.json.
+// is report-only. Results go to BENCH_simd.json.
 namespace {
 
 /// |W| workers and 2|W| single-task delivery points scattered near the
@@ -777,12 +749,10 @@ Instance SimdGateInstance(size_t num_workers) {
 /// Replica of the engine's pre-batching Evaluate inner loop: one
 /// exclude-one view per call, then a view.Iau (lower_bound + the sorted
 /// expression tree) per available candidate, payoffs read through the AoS
-/// strategy records. `avail` stands in for the engine's incremental
-/// availability index (the legacy path ran with it too — both sides pay
-/// one cached byte per candidate, so the timing difference is the kernel
-/// work, not availability checking). Semantically the engine's old path —
-/// Better()'s (utility desc, index asc) fold over the same null-first
-/// candidate order — kept in the bench so the library stays single-path.
+/// strategy records, availability from a precomputed bitmap. Semantically
+/// the engine's full scan — Better()'s (utility desc, index asc) fold over
+/// the same null-first candidate order — kept in the bench so the library
+/// stays single-path.
 int32_t LegacyBestResponse(const JointState& state, PayoffLedger& ledger,
                            const std::vector<uint8_t>& avail, size_t w,
                            const IauParams& params) {
@@ -816,19 +786,52 @@ int32_t LegacyBestResponse(const JointState& state, PayoffLedger& ledger,
   return current;
 }
 
-/// Seconds for `sweeps` legacy-replica sweeps over all workers, best of
-/// `reps` — the counterpart of TimeEvaluateSweeps for the baseline.
-double TimeLegacySweeps(const JointState& state, PayoffLedger& ledger,
-                        const std::vector<std::vector<uint8_t>>& avail,
-                        const IauParams& params, size_t num_workers,
-                        int sweeps, int reps) {
+/// One worker's kernel input: its exclude-one view and the payoffs of its
+/// available non-incumbent strategies in catalog (payoff-descending)
+/// order — exactly what the engine's full scan gathers.
+struct KernelBatch {
+  OthersView view;
+  std::vector<double> owns;
+};
+
+/// The legacy per-candidate fold over one batch: earliest strict maximum
+/// of view.Iau, the Better() order within a batch.
+size_t LegacyFoldArgmax(const KernelBatch& b, const IauParams& params,
+                        double* best_utility) {
+  size_t best = 0;
+  double best_u = b.view.Iau(b.owns[0], params);
+  for (size_t j = 1; j < b.owns.size(); ++j) {
+    const double u = b.view.Iau(b.owns[j], params);
+    if (u > best_u) {
+      best_u = u;
+      best = j;
+    }
+  }
+  *best_utility = best_u;
+  return best;
+}
+
+size_t KernelArgmax(const KernelBatch& b, const IauParams& params,
+                    double* best_utility) {
+  return SortedIauBatchArgmax(b.view.sorted_values(), b.view.size(),
+                              b.view.prefix_sums(), params, b.owns.data(),
+                              b.owns.size(), best_utility);
+}
+
+/// Seconds for `sweeps` passes of `argmax` over every batch, best of
+/// `reps`.
+template <typename Argmax>
+double TimeBatchSweeps(const std::vector<KernelBatch>& batches,
+                       const IauParams& params, Argmax argmax, int sweeps,
+                       int reps) {
   double best = kInfinity;
   for (int r = 0; r < reps; ++r) {
     Stopwatch sw;
     for (int s = 0; s < sweeps; ++s) {
-      for (size_t w = 0; w < num_workers; ++w) {
-        benchmark::DoNotOptimize(
-            LegacyBestResponse(state, ledger, avail[w], w, params));
+      for (const KernelBatch& b : batches) {
+        double u = 0.0;
+        benchmark::DoNotOptimize(argmax(b, params, &u));
+        benchmark::DoNotOptimize(u);
       }
     }
     best = std::min(best, sw.ElapsedSeconds());
@@ -847,13 +850,8 @@ int RunSimdKernelGate(size_t num_workers) {
   vdps.max_set_size = 1;
   const VdpsCatalog catalog = VdpsCatalog::Generate(inst, vdps);
 
-  const IauParams params;
-  // Serial engine in the production configuration (incremental
-  // availability index on); the legacy replica gets a precomputed bitmap
-  // of the same availability answers, so both sides pay one cached byte
-  // per candidate — raw IsAvailable chases the AoS strategy record plus
-  // the entry's point list, cache misses that would drown the kernel
-  // signal on both sides equally.
+  // beta >= 1: the engine's full scan, the path that runs the kernel.
+  const IauParams params{1.0, 1.0};
   BestResponseConfig config;
   JointState state(inst, catalog);
   BestResponseEngine engine(state, params, config);
@@ -869,21 +867,45 @@ int RunSimdKernelGate(size_t num_workers) {
   }
   PayoffLedger legacy_ledger(state.payoffs());
   std::vector<std::vector<uint8_t>> avail(num_workers);
+  std::vector<KernelBatch> batches;
+  batches.reserve(num_workers);
   for (size_t w = 0; w < num_workers; ++w) {
     const size_t n = catalog.strategies(w).size();
+    const int32_t current = state.strategy_of(w);
     avail[w].resize(n);
+    std::vector<double> owns;
     for (size_t i = 0; i < n; ++i) {
-      avail[w][i] =
-          state.IsAvailable(w, static_cast<int32_t>(i)) ? 1 : 0;
+      const int32_t idx = static_cast<int32_t>(i);
+      avail[w][i] = state.IsAvailable(w, idx) ? 1 : 0;
+      if (avail[w][i] != 0 && idx != current) {
+        owns.push_back(catalog.strategy_payoffs(w)[i]);
+      }
     }
+    if (owns.empty()) continue;
+    std::vector<double> others;
+    others.reserve(num_workers - 1);
+    for (size_t j = 0; j < num_workers; ++j) {
+      if (j != w) others.push_back(state.payoff_of(j));
+    }
+    batches.push_back(KernelBatch{OthersView(std::move(others)),
+                                  std::move(owns)});
   }
 
-  // Gate 3 first: the baseline's choices must match the engine's before
-  // its timing means anything.
+  // Gate 3 first: the baselines' choices must match before their timing
+  // means anything.
   bool replica_agrees = true;
   for (size_t w = 0; w < num_workers; ++w) {
     if (engine.Evaluate(w).strategy !=
         LegacyBestResponse(state, legacy_ledger, avail[w], w, params)) {
+      replica_agrees = false;
+    }
+  }
+  for (const KernelBatch& b : batches) {
+    double kernel_u = 0.0;
+    double fold_u = 0.0;
+    if (KernelArgmax(b, params, &kernel_u) !=
+            LegacyFoldArgmax(b, params, &fold_u) ||
+        kernel_u != fold_u) {
       replica_agrees = false;
     }
   }
@@ -900,31 +922,33 @@ int RunSimdKernelGate(size_t num_workers) {
 
   constexpr int kSweeps = 10;
   constexpr int kReps = 5;
-  const uint64_t evaluate_calls =
-      static_cast<uint64_t>(kSweeps) * num_workers;
+  const uint64_t batch_calls =
+      static_cast<uint64_t>(kSweeps) * batches.size();
 
-  // Steady-state allocation count on the dispatch mode the speedup claim
-  // is about (AVX2 where available), after a warm-up sweep of each side.
+  // Steady-state allocation count of the engine's full-scan Evaluate on
+  // the dispatch mode the speedup claim is about (AVX2 where available),
+  // after a warm-up sweep.
   if (avx2) simd::SetSimdMode(simd::SimdMode::kAvx2);
   TimeEvaluateSweeps(engine, num_workers, 1, 1);
-  TimeLegacySweeps(state, legacy_ledger, avail, params, num_workers, 1,
-                  1);
   const uint64_t before =
       g_heap_allocations.load(std::memory_order_relaxed);
   TimeEvaluateSweeps(engine, num_workers, kSweeps, 1);
   const uint64_t engine_allocs =
       g_heap_allocations.load(std::memory_order_relaxed) - before;
 
+  TimeBatchSweeps(batches, params, KernelArgmax, 1, 1);
+  TimeBatchSweeps(batches, params, LegacyFoldArgmax, 1, 1);
   double avx2_seconds = 0.0;
   if (avx2) {
-    avx2_seconds = TimeEvaluateSweeps(engine, num_workers, kSweeps, kReps);
+    avx2_seconds =
+        TimeBatchSweeps(batches, params, KernelArgmax, kSweeps, kReps);
   }
   simd::SetSimdMode(simd::SimdMode::kScalar);
   const double scalar_seconds =
-      TimeEvaluateSweeps(engine, num_workers, kSweeps, kReps);
+      TimeBatchSweeps(batches, params, KernelArgmax, kSweeps, kReps);
   simd::SetSimdMode(entry_mode);
-  const double legacy_seconds = TimeLegacySweeps(
-      state, legacy_ledger, avail, params, num_workers, kSweeps, kReps);
+  const double legacy_seconds =
+      TimeBatchSweeps(batches, params, LegacyFoldArgmax, kSweeps, kReps);
 
   const double active_seconds = avx2 ? avx2_seconds : scalar_seconds;
   const double speedup = legacy_seconds / active_seconds;
@@ -936,7 +960,7 @@ int RunSimdKernelGate(size_t num_workers) {
   const bool speedup_pass = report_only || speedup >= kSpeedupThreshold;
   const bool pass = zero_alloc_pass && replica_agrees && speedup_pass;
 
-  const double per_call = 1e9 / static_cast<double>(evaluate_calls);
+  const double per_call = 1e9 / static_cast<double>(batch_calls);
   obs::JsonWriter json;
   json.BeginObject();
   json.Key("bench");
@@ -949,27 +973,31 @@ int RunSimdKernelGate(size_t num_workers) {
   json.UInt(static_cast<uint64_t>(num_workers));
   json.Key("strategies_per_worker");
   json.UInt(static_cast<uint64_t>(catalog.MaxStrategiesPerWorker()));
+  json.Key("iau_alpha");
+  json.Double(params.alpha);
+  json.Key("iau_beta");
+  json.Double(params.beta);
   json.Key("lanes_per_evaluate");
   json.Double(lanes_per_evaluate);
-  json.Key("evaluate_calls");
-  json.UInt(evaluate_calls);
+  json.Key("batch_calls");
+  json.UInt(batch_calls);
   json.Key("avx2_supported");
   json.Bool(avx2);
   json.Key("dispatch");
   json.String(simd::SimdModeName(avx2 ? simd::SimdMode::kAvx2
                                       : simd::SimdMode::kScalar));
-  json.Key("legacy");
+  json.Key("legacy_fold");
   json.BeginObject();
   json.Key("seconds");
   json.Double(legacy_seconds);
-  json.Key("ns_per_evaluate");
+  json.Key("ns_per_batch");
   json.Double(legacy_seconds * per_call);
   json.EndObject();
   json.Key("scalar_batch");
   json.BeginObject();
   json.Key("seconds");
   json.Double(scalar_seconds);
-  json.Key("ns_per_evaluate");
+  json.Key("ns_per_batch");
   json.Double(scalar_seconds * per_call);
   json.EndObject();
   if (avx2) {
@@ -977,7 +1005,7 @@ int RunSimdKernelGate(size_t num_workers) {
     json.BeginObject();
     json.Key("seconds");
     json.Double(avx2_seconds);
-    json.Key("ns_per_evaluate");
+    json.Key("ns_per_batch");
     json.Double(avx2_seconds * per_call);
     json.EndObject();
   }
@@ -1006,11 +1034,12 @@ int RunSimdKernelGate(size_t num_workers) {
   out.close();
 
   std::printf(
-      "simd kernel gate (|W|=%zu, %.0f lanes/Evaluate): legacy %.1f "
-      "ns/call, scalar batch %.1f ns/call, %s %.1f ns/call (%llu allocs) "
-      "-> %.2fx (>= %.1fx%s, 0 allocs, replica %s: %s); wrote %s\n",
-      num_workers, lanes_per_evaluate,
-      legacy_seconds * per_call, scalar_seconds * per_call,
+      "simd kernel gate (|W|=%zu, alpha=beta=1, %.0f lanes/Evaluate): "
+      "legacy fold %.1f ns/batch, scalar batch %.1f ns/batch, %s %.1f "
+      "ns/batch (Evaluate %llu allocs) -> %.2fx (>= %.1fx%s, 0 allocs, "
+      "replica %s: %s); wrote %s\n",
+      num_workers, lanes_per_evaluate, legacy_seconds * per_call,
+      scalar_seconds * per_call,
       avx2 ? "avx2 batch" : "no avx2; scalar", active_seconds * per_call,
       static_cast<unsigned long long>(engine_allocs), speedup,
       kSpeedupThreshold, report_only ? " report-only" : "",

@@ -26,9 +26,8 @@ namespace bench {
 namespace {
 
 /// Exact structural equality of two catalogs: entries (sets, rewards,
-/// Pareto options with routes), per-worker strategies, and the inverted
-/// index. Doubles compared bit-for-bit — the determinism guarantee is
-/// "identical", not "close".
+/// Pareto options with routes) and per-worker strategies. Doubles compared
+/// bit-for-bit — the determinism guarantee is "identical", not "close".
 bool CatalogsIdentical(const VdpsCatalog& a, const VdpsCatalog& b) {
   if (a.num_entries() != b.num_entries()) return false;
   for (size_t e = 0; e < a.num_entries(); ++e) {
@@ -56,19 +55,6 @@ bool CatalogsIdentical(const VdpsCatalog& a, const VdpsCatalog& b) {
           a.route(sa[i]) != b.route(sb[i]) ||
           sa[i].total_time != sb[i].total_time ||
           sa[i].payoff != sb[i].payoff) {
-        return false;
-      }
-    }
-  }
-  if (a.num_indexed_delivery_points() != b.num_indexed_delivery_points()) {
-    return false;
-  }
-  for (uint32_t dp = 0; dp < a.num_indexed_delivery_points(); ++dp) {
-    const auto& ta = a.strategies_touching(dp);
-    const auto& tb = b.strategies_touching(dp);
-    if (ta.size() != tb.size()) return false;
-    for (size_t i = 0; i < ta.size(); ++i) {
-      if (ta[i].worker != tb[i].worker || ta[i].strategy != tb[i].strategy) {
         return false;
       }
     }

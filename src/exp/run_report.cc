@@ -12,8 +12,6 @@ void AppendEngine(obs::JsonWriter& w, const BestResponseCounters& e) {
   w.BeginObject();
   w.Key("strategies_scanned");
   w.UInt(e.strategies_scanned);
-  w.Key("cache_skips");
-  w.UInt(e.cache_skips);
   w.Key("parallel_batches");
   w.UInt(e.parallel_batches);
   w.Key("simd");

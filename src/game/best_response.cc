@@ -1,13 +1,12 @@
 #include "game/best_response.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "game/iau_kernels.h"
 #include "obs/trace.h"
-#include "util/logging.h"
 #include "util/math_util.h"
 #include "util/simd.h"
-#include "util/string_util.h"
 #include "vdps/catalog.h"
 
 namespace fta {
@@ -23,13 +22,6 @@ BestResponseEngine::BestResponseEngine(JointState& state,
   } else if (config_.num_threads > 1) {
     owned_pool_ = std::make_unique<ThreadPool>(config_.num_threads);
     pool_ = owned_pool_.get();
-  }
-  if (config_.use_incremental_index) {
-    const VdpsCatalog& catalog = state_->catalog();
-    avail_.resize(catalog.num_workers());
-    for (size_t w = 0; w < catalog.num_workers(); ++w) {
-      avail_[w].assign(catalog.strategies(w).size(), kUnknown);
-    }
   }
   // The ledger is maintained unconditionally (Apply keeps it coherent
   // either way); use_payoff_ledger only selects which view Evaluate reads.
@@ -48,71 +40,20 @@ BestResponseEngine::BestResponseEngine(JointState& state,
     s.owns.assign(max_strategies, 0.0);
     s.indices.assign(max_strategies, 0);
   }
+  winners_.resize(scratch_.size());
+  shard_counters_.resize(scratch_.size());
 }
 
 BestResponseEngine::~BestResponseEngine() = default;
 
 bool BestResponseEngine::Available(size_t w, int32_t idx,
                                    BestResponseCounters& counters) {
-  if (idx == kNullStrategy) return true;
-  if (avail_.empty()) {
-    ++counters.strategies_scanned;
-    return state_->IsAvailable(w, idx);
-  }
-  uint8_t& slot = avail_[w][static_cast<size_t>(idx)];
-  if (slot != kUnknown) {
-    ++counters.cache_skips;
-    return slot == kAvailable;
-  }
   ++counters.strategies_scanned;
-  const bool ok = state_->IsAvailable(w, idx);
-  slot = ok ? kAvailable : kBlocked;
-  return ok;
-}
-
-void BestResponseEngine::Mark(uint32_t dp, size_t mover, uint8_t value) {
-  for (const StrategyRef& ref : state_->catalog().strategies_touching(dp)) {
-    // The mover's own entries are exempt from its own ownership (a worker
-    // may always reuse its own points), so none of them change.
-    if (ref.worker == mover) continue;
-    avail_[ref.worker][static_cast<size_t>(ref.strategy)] = value;
-  }
+  return state_->IsAvailable(w, idx);
 }
 
 void BestResponseEngine::Apply(size_t w, int32_t idx) {
-  const int32_t old = state_->strategy_of(w);
-  if (old == idx) return;
-  if (!avail_.empty()) {
-    // Ownership changes exactly on (old \ new) — released — and
-    // (new \ old) — claimed; points in both stay owned by w. A claim makes
-    // every other worker's strategy on that point exactly kBlocked (a
-    // cache *write*, not an invalidation); a release makes previously
-    // blocked entries unknown (other points may still block them).
-    const VdpsCatalog& catalog = state_->catalog();
-    static const std::vector<uint32_t> kNoDps;
-    auto dps_of = [&](int32_t s) -> const std::vector<uint32_t>& {
-      if (s == kNullStrategy) return kNoDps;
-      return catalog
-          .entry(catalog.strategies(w)[static_cast<size_t>(s)].entry_id)
-          .dps;
-    };
-    const std::vector<uint32_t>& old_dps = dps_of(old);
-    const std::vector<uint32_t>& new_dps = dps_of(idx);
-    // Both sets are sorted ascending; two-pointer set difference.
-    size_t a = 0;
-    size_t b = 0;
-    while (a < old_dps.size() || b < new_dps.size()) {
-      if (b == new_dps.size() ||
-          (a < old_dps.size() && old_dps[a] < new_dps[b])) {
-        Mark(old_dps[a++], w, kUnknown);  // released
-      } else if (a == old_dps.size() || new_dps[b] < old_dps[a]) {
-        Mark(new_dps[b++], w, kBlocked);  // claimed
-      } else {
-        ++a;  // kept: still owned by w, no cache effect
-        ++b;
-      }
-    }
-  }
+  if (state_->strategy_of(w) == idx) return;
   state_->Apply(w, idx);
   ledger_.Update(w, state_->payoff_of(w));
 }
@@ -146,7 +87,8 @@ template <typename View>
 BestResponseOutcome BestResponseEngine::EvaluateWithView(size_t w,
                                                          const View& view) {
   const int32_t current = state_->strategy_of(w);
-  const double incumbent_u = view.Iau(state_->payoff_of(w), params_);
+  const double own = state_->payoff_of(w);
+  const double incumbent_u = view.Iau(own, params_);
 
   // The null strategy (always available) seeds the challenger reduce; its
   // index kNullStrategy = -1 sorts below every catalog index, preserving
@@ -157,24 +99,45 @@ BestResponseOutcome BestResponseEngine::EvaluateWithView(size_t w,
   }
 
   // Candidate payoffs stream from the catalog's SoA array (contiguous
-  // doubles, no striding through WorkerStrategy structs), and each shard
-  // issues ONE fused SortedIauBatchArgmax over its gathered availability
-  // survivors instead of a view.Iau per candidate. Bit-identity: the
-  // kernel's per-lane expression tree is exactly SortedIau's
-  // (game/iau_kernels.h) and its earliest-max reduce is exactly the
-  // Better() fold over ascending indices, so Better(cand, winner) equals
-  // the per-candidate fold the old loop produced — the max is a total
-  // order, so folding a batch's own maximum first cannot change it.
+  // doubles, no striding through WorkerStrategy structs), and each gather
+  // is reduced by ONE fused SortedIauBatchArgmax instead of a view.Iau per
+  // candidate. Bit-identity: the kernel's per-lane expression tree is
+  // exactly SortedIau's (game/iau_kernels.h) and its earliest-max reduce
+  // is exactly the Better() fold over ascending indices, so
+  // Better(cand, winner) equals the per-candidate fold — the max is a
+  // total order, so folding a batch's own maximum first cannot change it.
   const size_t n = state_->catalog().strategies(w).size();
   const double* payoffs = state_->catalog().strategy_payoffs(w).data();
   const bool avx2 = simd::ActiveSimdMode() == simd::SimdMode::kAvx2;
-  auto scan = [&](size_t lo, size_t hi, KernelScratch& scratch,
+  auto band_at = [&](double reference) {
+    return SortedIauMonotoneBand(view.sorted_values(), view.size(),
+                                 view.prefix_sums(), params_, reference);
+  };
+  // Gathers and scores the available strategies of [lo, hi) — with the
+  // monotone early exit (DESIGN.md §2) unless `band` is +inf: the walk
+  // stops at the first payoff below reference - band, the reference being
+  // the larger of the incumbent's payoff and the first available
+  // strategy's (the catalog is payoff-descending). A dropped strategy then
+  // scores strictly below the first available one, which is scored, or
+  // below the incumbent, which no challenger it could become would beat —
+  // so the outcome equals the full scan's. A negative `band` is computed
+  // at the first payoff below the reference, after which the reference no
+  // longer moves; a list that never falls below it never pays for it.
+  auto scan = [&](size_t lo, size_t hi, double band, KernelScratch& scratch,
                   Candidate& cand, BestResponseCounters& counters) {
+    double reference = own;
+    bool found = false;
     size_t cnt = 0;
     for (size_t i = lo; i < hi; ++i) {
+      if (payoffs[i] < reference) {
+        if (band < 0.0) band = band_at(reference);
+        if (payoffs[i] < reference - band) break;
+      }
       const int32_t idx = static_cast<int32_t>(i);
       if (idx == current) continue;  // evaluated as the incumbent
       if (!Available(w, idx, counters)) continue;
+      if (!found && payoffs[i] > reference) reference = payoffs[i];
+      found = true;
       scratch.owns[cnt] = payoffs[i];
       scratch.indices[cnt] = idx;
       ++cnt;
@@ -190,29 +153,37 @@ BestResponseOutcome BestResponseEngine::EvaluateWithView(size_t w,
     cand = Better(cand, Candidate{best_u, scratch.indices[pos], true});
   };
 
-  if (pool_ != nullptr && n >= config_.min_parallel_candidates) {
-    // Sharded fan-out with a deterministic reduce: each shard folds its own
-    // range, then the shard winners fold in shard order. Better() is a max
-    // under the total order (utility desc, index asc), so the result is
-    // independent of the shard partition and of execution interleaving.
+  if (pool_ == nullptr || n < config_.min_parallel_candidates ||
+      std::isfinite(band_at(own))) {
+    // The early exit never fans out, so its work counters are the same at
+    // any thread count.
+    scan(0, n, -1.0, scratch_[0], challenger, counters_);
+  } else {
+    // Full scan (beta >= 1) sharded with a deterministic reduce: each
+    // shard folds its own range, then the shard winners fold in shard
+    // order. Better() is a max under the total order (utility desc, index
+    // asc), so the result is independent of the shard partition and of
+    // execution interleaving.
     const size_t shards = std::min(n, pool_->num_threads() * 4);
     const size_t chunk = (n + shards - 1) / shards;
-    std::vector<Candidate> winners(shards);
-    std::vector<BestResponseCounters> shard_counters(shards);
+    for (size_t s = 0; s < shards; ++s) {
+      winners_[s] = Candidate();
+      shard_counters_[s] = BestResponseCounters();
+    }
     FTA_SPAN("game/br_batch");
     pool_->RunBatch(shards, [&](size_t s) {
       FTA_SPAN("game/br_shard");
       const size_t lo = s * chunk;
       const size_t hi = std::min(n, lo + chunk);
-      if (lo < hi) scan(lo, hi, scratch_[s], winners[s], shard_counters[s]);
+      if (lo < hi) {
+        scan(lo, hi, kInfinity, scratch_[s], winners_[s], shard_counters_[s]);
+      }
     });
     ++counters_.parallel_batches;
     for (size_t s = 0; s < shards; ++s) {
-      challenger = Better(challenger, winners[s]);
-      counters_ += shard_counters[s];
+      challenger = Better(challenger, winners_[s]);
+      counters_ += shard_counters_[s];
     }
-  } else {
-    scan(0, n, scratch_[0], challenger, counters_);
   }
 
   BestResponseOutcome out;
@@ -237,10 +208,6 @@ bool BestResponseEngine::Step(size_t w) {
   return true;
 }
 
-bool BestResponseEngine::IsAvailableCached(size_t w, int32_t idx) {
-  return Available(w, idx, counters_);
-}
-
 void BestResponseEngine::AvailableAbovePayoff(size_t w,
                                               double payoff_threshold,
                                               std::vector<int32_t>& out) {
@@ -258,24 +225,6 @@ void BestResponseEngine::AvailableAbovePayoff(size_t w,
 }
 
 // FTA_HOT_END(best-response-scan)
-
-Status BestResponseEngine::ValidateAvailabilityIndex() const {
-  for (size_t w = 0; w < avail_.size(); ++w) {
-    for (size_t i = 0; i < avail_[w].size(); ++i) {
-      const uint8_t slot = avail_[w][i];
-      if (slot == kUnknown) continue;
-      const bool actual = state_->IsAvailable(w, static_cast<int32_t>(i));
-      if (actual != (slot == kAvailable)) {
-        return Status::Internal(StrFormat(
-            "availability cache stale for worker %zu strategy %zu: cached "
-            "%s, actual %s",
-            w, i, slot == kAvailable ? "available" : "blocked",
-            actual ? "available" : "blocked"));
-      }
-    }
-  }
-  return Status::Ok();
-}
 
 Status BestResponseEngine::ValidateLedger() const {
   return ledger_.Validate(state_->payoffs());

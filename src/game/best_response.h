@@ -28,13 +28,9 @@ struct BestResponseConfig {
   /// paying a thread spawn/join per engine construction. Results are
   /// bit-identical either way.
   ThreadPool* pool = nullptr;
-  /// Maintain the incremental availability index: per-strategy cached
-  /// availability bits, invalidated through the catalog's delivery-point →
-  /// strategies inverted index on every strategy switch. Purely a
-  /// performance feature — results are identical with it off.
-  bool use_incremental_index = true;
-  /// Candidate count below which a scan stays serial even when a pool is
-  /// available (fan-out overhead dominates tiny catalogs).
+  /// Candidate count below which a full scan stays serial even when a pool
+  /// is available (fan-out overhead dominates tiny catalogs). The monotone
+  /// early exit never fans out.
   size_t min_parallel_candidates = 64;
   /// Serve Evaluate's exclude-one view from the incrementally sorted
   /// payoff ledger (no sort, no allocation) instead of rebuilding an
@@ -64,13 +60,16 @@ struct BestResponseOutcome {
 
 /// The shared inner loop of the game solvers (FGT, IEGT, equilibrium
 /// analysis, pure-NE enumeration): evaluates candidate strategies against
-/// the current joint state, fanning the scan out over a thread pool with a
-/// deterministic sharded reduce, and re-checking a strategy's availability
-/// only when a delivery point of that strategy changed owner since the last
-/// check (incremental availability index).
+/// the current joint state. Where the IAU strictly increases in the
+/// worker's own payoff (alpha >= 0, beta < 1 — the paper's
+/// alpha = beta = 0.5) a best response is the highest-payoff available
+/// strategy, so Evaluate walks the payoff-sorted list serially and stops
+/// a proven band below it (SortedIauMonotoneBand); otherwise it scans
+/// every strategy, fanning out over a thread pool with a deterministic
+/// sharded reduce. Both paths produce bit-identical outcomes.
 ///
-/// All joint-state mutations must go through Apply() so the availability
-/// cache stays coherent. The engine never mutates the state on its own.
+/// All joint-state mutations must go through Apply() so the payoff ledger
+/// stays coherent. The engine never mutates the state on its own.
 /// Not thread-safe: one engine serves one solver loop; internal parallelism
 /// is the engine's own business.
 class BestResponseEngine {
@@ -97,13 +96,8 @@ class BestResponseEngine {
   bool Step(size_t w);
 
   /// Switches worker w to strategy `idx` (must be available), keeping the
-  /// availability cache coherent. The only sanctioned mutation path.
+  /// payoff ledger coherent. The only sanctioned mutation path.
   void Apply(size_t w, int32_t idx);
-
-  /// Availability of strategy `idx` for worker w, served from the
-  /// incremental index when possible. Identical to
-  /// JointState::IsAvailable in outcome.
-  bool IsAvailableCached(size_t w, int32_t idx);
 
   /// Appends (ascending index order, incumbent excluded) every available
   /// strategy of w whose payoff strictly exceeds `payoff_threshold` beyond
@@ -114,12 +108,6 @@ class BestResponseEngine {
 
   /// True if no worker has a strictly improving available deviation.
   bool IsNash();
-
-  /// Exactness contract of the incremental availability index
-  /// (FTA_VALIDATE, called at solver round boundaries): every cache slot
-  /// that is not kUnknown must agree with a fresh
-  /// JointState::IsAvailable scan. Trivially OK when the index is off.
-  Status ValidateAvailabilityIndex() const;
 
   /// Exactness contract of the payoff ledger (FTA_VALIDATE, called at
   /// solver round boundaries): the ledger's sorted array and position maps
@@ -140,10 +128,6 @@ class BestResponseEngine {
   const IauParams& params() const { return params_; }
 
  private:
-  static constexpr uint8_t kUnknown = 0;
-  static constexpr uint8_t kAvailable = 1;
-  static constexpr uint8_t kBlocked = 2;
-
   // FTA_HOT_BEGIN(candidate-fold)
   /// Candidate in the deterministic reduce; ordered by (utility desc,
   /// index asc). `valid` is false for the identity element. Runs once per
@@ -173,13 +157,9 @@ class BestResponseEngine {
     std::vector<int32_t> indices;
   };
 
-  /// Availability with counter accounting into `counters` (per-shard
+  /// JointState::IsAvailable, counted into `counters` (per-shard
   /// accumulators during a parallel scan; counters_ otherwise).
   bool Available(size_t w, int32_t idx, BestResponseCounters& counters);
-
-  /// Writes `value` into the cache entry of every strategy touching `dp`,
-  /// except the mover's own entries (exempt through self-ownership).
-  void Mark(uint32_t dp, size_t mover, uint8_t value);
 
   /// Shared candidate-scan body of Evaluate(); `view` is either the
   /// ledger's exclude-one view or a freshly built OthersView — both expose
@@ -193,10 +173,11 @@ class BestResponseEngine {
   BestResponseConfig config_;
   std::unique_ptr<ThreadPool> owned_pool_;  // only when no injected pool
   ThreadPool* pool_ = nullptr;  // injected or owned_pool_.get(); may be null
-  /// avail_[w][i]: cached availability of strategy i for worker w.
-  std::vector<std::vector<uint8_t>> avail_;
-  /// Per-shard batch scratch; scratch_[0] serves the serial path.
+  /// Per-shard batch scratch; scratch_[0] serves the serial paths.
   std::vector<KernelScratch> scratch_;
+  /// Per-shard winners and counters of the fan-out, sized with scratch_.
+  std::vector<Candidate> winners_;
+  std::vector<BestResponseCounters> shard_counters_;
   /// Incrementally sorted payoffs; kept coherent by Apply().
   PayoffLedger ledger_;
   /// mutable: counters() is conceptually const but folds the ledger's own

@@ -93,7 +93,7 @@ struct NashSearch {
     const auto& strategies = catalog->strategies(w);
     for (size_t i = 0; i < strategies.size() && !capped; ++i) {
       const int32_t idx = static_cast<int32_t>(i);
-      if (!engine.IsAvailableCached(w, idx)) continue;
+      if (!state.IsAvailable(w, idx)) continue;
       engine.Apply(w, idx);
       Recurse(w + 1);
       engine.Apply(w, kNullStrategy);

@@ -36,11 +36,9 @@ IterationStats Snapshot(const JointState& state, int iteration,
 
 int32_t BestResponse(const JointState& state, size_t w,
                      const IauParams& params) {
-  // One-shot scan: serial, no cache (building it would cost exactly one
-  // full scan anyway). Evaluate never mutates the state.
+  // One-shot scan, serial. Evaluate never mutates the state.
   BestResponseConfig config;
   config.num_threads = 1;
-  config.use_incremental_index = false;
   BestResponseEngine engine(const_cast<JointState&>(state), params, config);
   return engine.BestResponse(w);
 }
@@ -48,7 +46,6 @@ int32_t BestResponse(const JointState& state, size_t w,
 bool IsPureNashEquilibrium(const JointState& state, const IauParams& params) {
   BestResponseConfig config;
   config.num_threads = 1;
-  config.use_incremental_index = false;
   BestResponseEngine engine(const_cast<JointState&>(state), params, config);
   return engine.IsNash();
 }
@@ -101,11 +98,9 @@ GameResult SolveFgt(const Instance& instance, const VdpsCatalog& catalog,
       if (engine.Step(w)) ++changes;
     }
     result.rounds = round;
-    // Round-boundary contracts: state bookkeeping, the incremental
-    // availability index, and the payoff ledger must be exact after every
-    // full round of moves.
+    // Round-boundary contracts: state bookkeeping and the payoff ledger
+    // must be exact after every full round of moves.
     FTA_DCHECK_OK(state.ValidateInvariants());
-    FTA_DCHECK_OK(engine.ValidateAvailabilityIndex());
     FTA_DCHECK_OK(engine.ValidateLedger());
     // One sort-free P_dif per round, shared by the trace snapshot and the
     // early-stop rule (each used to pay its own copy-and-sort).

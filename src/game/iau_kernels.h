@@ -62,6 +62,19 @@ size_t SortedIauBatchArgmax(const double* values, size_t n,
                             const double* owns, size_t count,
                             double* best_utility);
 
+/// Payoff band of the engine's monotone early exit: δ >= 0 such that every
+/// finite payoff x < reference - δ computes SortedIau(x) strictly below
+/// SortedIau(reference) (the batch kernels share its expression tree), for
+/// an exclude-one view whose `prefix` is the canonical BlockedPrefixSum of
+/// ascending `values`, as PayoffLedger::Exclude and OthersView build it.
+/// Proof at the definition. +inf when no band exists: the slope bound
+/// min(1 + alpha, 1 - beta) is not positive after rounding (beta >= 1) or
+/// an input is not finite. δ = 0 is NOT safe: the computed utility is not
+/// monotone at ulp scale.
+double SortedIauMonotoneBand(const double* values, size_t n,
+                             const double* prefix, const IauParams& params,
+                             double reference);
+
 namespace iau_internal {
 
 /// True when owns[0] >= owns[1] >= ... (the catalog's payoff-descending

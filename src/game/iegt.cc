@@ -90,11 +90,9 @@ GameResult SolveIegt(const Instance& instance, const VdpsCatalog& catalog,
       }
     }
     result.rounds = round;
-    // Round-boundary contracts (see SolveFgt): bookkeeping, the
-    // availability index, and the payoff ledger stay exact across
-    // evolution moves.
+    // Round-boundary contracts (see SolveFgt): bookkeeping and the payoff
+    // ledger stay exact across evolution moves.
     FTA_DCHECK_OK(state.ValidateInvariants());
-    FTA_DCHECK_OK(engine.ValidateAvailabilityIndex());
     FTA_DCHECK_OK(engine.ValidateLedger());
     // One sort-free P_dif per round, shared by the trace snapshot and the
     // early-stop rule.

@@ -22,8 +22,8 @@ struct IegtConfig {
   bool record_trace = false;
   /// Optional early termination (patience = 0 disables; see EarlyStopRule).
   EarlyStopRule early_stop;
-  /// Shared engine tuning (the incremental availability index accelerates
-  /// the evolution scan; the candidate set is unchanged by it).
+  /// Shared engine tuning (threads, payoff ledger); the candidate set is
+  /// unchanged by it.
   BestResponseConfig engine;
   /// Warm-start joint strategy (see FgtConfig::warm_start): replaces the
   /// random singleton initialization when set. Not owned; must outlive the

@@ -26,10 +26,9 @@ void PublishGameRun(const char* solver, const GameResult& result) {
                    obs::ExponentialBounds(1.0, 2.0, 8))
       .Observe(static_cast<double>(result.rounds));
   // Engine work is shared across solvers on purpose: the Figure-12 benches
-  // compare total scan/cache traffic regardless of which loop drove it.
+  // compare total scan traffic regardless of which loop drove it.
   reg.GetCounter("game/engine/strategies_scanned")
       .Add(result.engine.strategies_scanned);
-  reg.GetCounter("game/engine/cache_skips").Add(result.engine.cache_skips);
   reg.GetCounter("game/engine/parallel_batches")
       .Add(result.engine.parallel_batches);
   // Batched-kernel traffic (game/iau_kernels.h): how many SortedIauBatch

@@ -13,11 +13,12 @@ namespace fta {
 /// for the Figure-12 convergence benches. Purely observational: two runs
 /// that differ only in these counters produced identical assignments.
 struct BestResponseCounters {
-  /// Strategies whose availability was recomputed from delivery-point
-  /// ownership (the full DP walk).
+  /// Strategies whose availability was checked against delivery-point
+  /// ownership (one JointState::IsAvailable call each).
   uint64_t strategies_scanned = 0;
-  /// Strategies whose availability was served by the incremental index
-  /// (cache hit, no DP walk).
+  /// Always 0: every availability check counts in strategies_scanned.
+  /// Kept because the benchmark's batch workload
+  /// (perfbench/src/batch_workload.cc) reports it as game.cache_skips.
   uint64_t cache_skips = 0;
   /// Candidate fan-outs that ran on the thread pool.
   uint64_t parallel_batches = 0;
@@ -36,7 +37,6 @@ struct BestResponseCounters {
 
   BestResponseCounters& operator+=(const BestResponseCounters& o) {
     strategies_scanned += o.strategies_scanned;
-    cache_skips += o.cache_skips;
     parallel_batches += o.parallel_batches;
     simd_batches += o.simd_batches;
     simd_lanes += o.simd_lanes;
@@ -47,7 +47,6 @@ struct BestResponseCounters {
   friend BestResponseCounters operator-(BestResponseCounters a,
                                         const BestResponseCounters& b) {
     a.strategies_scanned -= b.strategies_scanned;
-    a.cache_skips -= b.cache_skips;
     a.parallel_batches -= b.parallel_batches;
     a.simd_batches -= b.simd_batches;
     a.simd_lanes -= b.simd_lanes;

@@ -256,19 +256,6 @@ StatusOr<double> FiniteField(const std::vector<std::string>& row, size_t i) {
   return v;
 }
 
-/// Field `i` as an absolute leave time: finite, or +inf for "never"
-/// (StreamEvent's documented kInfinity for departure and queue_expiry,
-/// which SerializeServeTrace writes as `inf`).
-StatusOr<double> LeaveTimeField(const std::vector<std::string>& row,
-                                size_t i) {
-  StatusOr<double> v = Field(row, i);
-  if (v.ok() && !std::isfinite(*v) && *v != kInfinity) {
-    return Status::ParseError(StrFormat(
-        "'%s' row field %zu is neither finite nor +inf", row[0].c_str(), i));
-  }
-  return v;
-}
-
 /// Field `i` as an unsigned integer no larger than `max`. Decimal digits
 /// only, so fractions, signs, exponents and non-finite spellings are
 /// rejected instead of being truncated or wrapped by a cast.
@@ -369,26 +356,25 @@ StatusOr<ServeTrace> DeserializeServeTrace(const std::string& text) {
       StreamEvent ev;
       ev.kind = row[0] == "w" ? StreamEventKind::kWorkerArrival
                               : StreamEventKind::kTaskArrival;
-      auto time = FiniteField(row, 1);
-      auto x = FiniteField(row, 2);
-      auto y = FiniteField(row, 3);
+      auto time = Field(row, 1);
+      auto x = Field(row, 2);
+      auto y = Field(row, 3);
       if (!time.ok()) return time.status();
       if (!x.ok()) return x.status();
       if (!y.ok()) return y.status();
       ev.time = *time;
       if (ev.kind == StreamEventKind::kWorkerArrival) {
         auto maxdp = UintField(row, 4, UINT32_MAX);
-        auto departure = LeaveTimeField(row, 5);
+        auto departure = Field(row, 5);
         if (!maxdp.ok()) return maxdp.status();
         if (!departure.ok()) return departure.status();
-        if (*maxdp == 0) return Status::ParseError("'w' row with maxdp 0");
         ev.worker.location = Point{*x, *y};
         ev.worker.max_delivery_points = static_cast<uint32_t>(*maxdp);
         ev.departure = *departure;
       } else {
-        auto reward = FiniteField(row, 4);
-        auto queue_expiry = LeaveTimeField(row, 5);
-        auto service_window = FiniteField(row, 6);
+        auto reward = Field(row, 4);
+        auto queue_expiry = Field(row, 5);
+        auto service_window = Field(row, 6);
         if (!reward.ok()) return reward.status();
         if (!queue_expiry.ok()) return queue_expiry.status();
         if (!service_window.ok()) return service_window.status();
@@ -396,6 +382,11 @@ StatusOr<ServeTrace> DeserializeServeTrace(const std::string& text) {
         ev.reward = *reward;
         ev.queue_expiry = *queue_expiry;
         ev.service_window = *service_window;
+      }
+      // The same check AssignmentServer::Submit applies (stream/events.h).
+      if (Status s = ValidateStreamEvent(ev); !s.ok()) {
+        return Status::ParseError(
+            StrFormat("'%s' row: %s", row[0].c_str(), s.message().c_str()));
       }
       trace.requests.back().events.push_back(std::move(ev));
     } else if (StartsWith(row[0], "#")) {

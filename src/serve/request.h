@@ -38,6 +38,9 @@ enum class AdmissionCode : uint8_t {
   /// admissible tick, or a different tick arrived while a batch was still
   /// open (unsealed).
   kOutOfOrder = 4,
+  /// An event fails ValidateStreamEvent (stream/events.h): a non-finite
+  /// number, a negative reward, a non-positive service window, maxDP 0.
+  kInvalidRequest = 5,
 };
 
 const char* AdmissionCodeName(AdmissionCode code);

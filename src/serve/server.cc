@@ -1,10 +1,15 @@
 #include "serve/server.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <string>
 #include <utility>
 #include <vector>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
@@ -42,6 +47,8 @@ void PublishServe(const ServeCounters& c) {
   static obs::Counter& rejected_unknown =
       reg.GetCounter("serve/rejected_unknown");
   static obs::Counter& rejected_order = reg.GetCounter("serve/rejected_order");
+  static obs::Counter& rejected_invalid =
+      reg.GetCounter("serve/rejected_invalid");
   static obs::Counter& batches = reg.GetCounter("serve/batches");
   static obs::Counter& answered = reg.GetCounter("serve/answered");
   static obs::Counter& assignments = reg.GetCounter("serve/assignments");
@@ -52,11 +59,44 @@ void PublishServe(const ServeCounters& c) {
   rejected_shutdown.Add(c.rejected_shutdown);
   rejected_unknown.Add(c.rejected_unknown);
   rejected_order.Add(c.rejected_order);
+  rejected_invalid.Add(c.rejected_invalid);
   batches.Add(c.batches);
   answered.Add(c.answered);
   assignments.Add(c.assignments);
   rounds.Add(c.solver_rounds);
 }
+
+#ifdef __linux__
+int CurrentCpu() { return sched_getcpu(); }
+
+/// Moves the calling runner once onto the k-th allowed CPU after `home`
+/// (the CPU of the thread that launched the runners), then restores its
+/// affinity mask: a placement, not a pin. Where the kernel does not balance
+/// load (cpuset.sched_load_balance = 0) pool threads stay on their
+/// creator's CPU, so every runner would share the admitting thread's CPU
+/// and a Submit burst would wait behind the solves it wakes. Best effort.
+void PlaceRunner(size_t k, int home) {
+  cpu_set_t allowed;
+  if (home < 0 || sched_getaffinity(0, sizeof(allowed), &allowed) != 0 ||
+      CPU_COUNT(&allowed) < 2) {
+    return;
+  }
+  size_t cpu = static_cast<size_t>(home);
+  for (size_t steps = k + 1; steps > 0;) {
+    cpu = (cpu + 1) % static_cast<size_t>(CPU_SETSIZE);
+    if (CPU_ISSET(cpu, &allowed)) --steps;
+  }
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (sched_setaffinity(0, sizeof(one), &one) == 0) {
+    sched_setaffinity(0, sizeof(allowed), &allowed);
+  }
+}
+#else
+int CurrentCpu() { return -1; }
+void PlaceRunner(size_t, int) {}
+#endif
 
 }  // namespace
 
@@ -72,6 +112,8 @@ const char* AdmissionCodeName(AdmissionCode code) {
       return "unknown-center";
     case AdmissionCode::kOutOfOrder:
       return "out-of-order";
+    case AdmissionCode::kInvalidRequest:
+      return "invalid-request";
   }
   return "unknown";
 }
@@ -164,7 +206,18 @@ AssignmentServer::~AssignmentServer() { Drain(); }
 AdmissionCode AssignmentServer::Submit(ServeRequest request) {
   const uint32_t center = request.center;
   const bool seal = request.final_in_tick;
+  // Validated before the admission mutex: a bad event must be rejected
+  // here, never reach a shard's TickEngine.
+  const bool valid =
+      std::all_of(request.events.begin(), request.events.end(),
+                  [](const StreamEvent& ev) {
+                    return ValidateStreamEvent(ev).ok();
+                  });
   MutexLock lock(&admit_mu_);
+  if (!valid) {
+    ++counters_.rejected_invalid;
+    return AdmissionCode::kInvalidRequest;
+  }
   if (draining_) {
     ++counters_.rejected_shutdown;
     return AdmissionCode::kShuttingDown;
@@ -238,8 +291,12 @@ void AssignmentServer::Resume() {
       launch = config_.num_threads;
     }
   }
+  const int home = CurrentCpu();
   for (size_t i = 0; i < launch; ++i) {
-    pool_->Submit([this] { RunnerLoop(); });
+    pool_->Submit([this, i, home] {
+      PlaceRunner(i, home);
+      RunnerLoop();
+    });
   }
 }
 

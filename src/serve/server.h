@@ -86,6 +86,7 @@ struct ServeCounters {
   uint64_t rejected_shutdown = 0;
   uint64_t rejected_unknown = 0;
   uint64_t rejected_order = 0;
+  uint64_t rejected_invalid = 0;
   /// Sealed batches solved (== responses emitted).
   uint64_t batches = 0;
   /// Admitted requests answered through a batch (== admitted after a

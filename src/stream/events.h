@@ -1,9 +1,9 @@
 #ifndef FTA_STREAM_EVENTS_H_
 #define FTA_STREAM_EVENTS_H_
 
-// Event model of the streaming dispatch loop. Header-only so the workload
-// generator (src/datagen) can produce events without linking the stream
-// library.
+// Event model of the streaming dispatch loop. The struct is header-only
+// so the workload generator (src/datagen) can produce events without
+// linking the stream library; ValidateStreamEvent lives in fta_stream.
 //
 // Time semantics — the load-bearing design decision of the subsystem:
 //
@@ -27,6 +27,7 @@
 #include "geo/point.h"
 #include "model/worker.h"
 #include "util/math_util.h"
+#include "util/status.h"
 
 namespace fta {
 
@@ -62,6 +63,14 @@ struct StreamEvent {
   /// sees). Must be positive and finite.
   double service_window = 1.0;
 };
+
+/// The boundary check for events from outside the process (the server's
+/// Submit and the serve trace loader): Instance::Validate's element rules
+/// plus finiteness. Finite time; a worker needs a finite location, maxDP
+/// >= 1 and a departure finite or +inf; a task needs a finite location, a
+/// finite reward >= 0, a finite service_window > 0 and a queue_expiry
+/// finite or +inf.
+Status ValidateStreamEvent(const StreamEvent& event);
 
 }  // namespace fta
 

@@ -98,15 +98,6 @@ uint64_t TickEngine::DigestCatalog() const {
       d.Fold(st.payoff);
     }
   }
-  d.Fold(static_cast<uint64_t>(catalog_.num_indexed_delivery_points()));
-  for (size_t dp = 0; dp < catalog_.num_indexed_delivery_points(); ++dp) {
-    const auto& refs = catalog_.strategies_touching(static_cast<uint32_t>(dp));
-    d.Fold(static_cast<uint64_t>(refs.size()));
-    for (const StrategyRef& ref : refs) {
-      d.Fold(static_cast<uint64_t>(ref.worker));
-      d.Fold(static_cast<uint64_t>(static_cast<uint32_t>(ref.strategy)));
-    }
-  }
   const RadiusAdjacency& adj = catalog_.adjacency();
   d.Fold(static_cast<uint64_t>(adj.offsets.size()));
   for (uint32_t o : adj.offsets) d.Fold(static_cast<uint64_t>(o));

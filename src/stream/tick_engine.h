@@ -75,8 +75,8 @@ struct TickEngineConfig {
   FgtConfig fgt;
   IegtConfig iegt;
   uint64_t seed = 42;
-  /// Fold a digest of the ENTIRE catalog (entries, strategies, inverted
-  /// index, ε-adjacency) into the run digest every tick. O(catalog) per
+  /// Fold a digest of the ENTIRE catalog (entries, strategies,
+  /// ε-adjacency) into the run digest every tick. O(catalog) per
   /// tick — the identity tests' instrument, off by default.
   bool digest_catalog = false;
 };

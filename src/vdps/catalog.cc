@@ -21,10 +21,6 @@ namespace {
 
 using vdps_internal::kMinTravelTime;
 
-/// Workers per inverted-index scan chunk (fixed partition, so the spliced
-/// output never depends on the thread count).
-constexpr size_t kWorkerChunk = 8;
-
 /// Mirrors a finished generation run into the process-wide metrics
 /// registry. Counter adds only (order-invariant across parallel centers);
 /// wall times go to histograms, whose *counts* stay deterministic.
@@ -113,6 +109,7 @@ VdpsCatalog VdpsCatalog::Generate(const Instance& instance,
   // pool pointer past it (ApplyDelta and regen-from-config run serial).
   catalog.config_.pool = nullptr;
   catalog.adjacency_ = std::move(gen.adjacency);
+  catalog.num_dps_ = instance.num_delivery_points();
 
   // Materialize per-worker strategies: a C-VDPS is valid for worker w iff
   // some retained sequence tolerates the worker's center offset, and the
@@ -143,50 +140,6 @@ VdpsCatalog VdpsCatalog::Generate(const Instance& instance,
     }
   }
 
-  // Delivery-point → strategies inverted index, built once against the
-  // final (sorted) strategy order. The parallel path scans fixed worker
-  // chunks into private (dp, ref) lists and splices them in chunk order —
-  // identical to the serial (worker asc, strategy asc) append order.
-  FTA_SPAN("vdps/inverted_index");
-  catalog.touching_.resize(instance.num_delivery_points());
-  struct Touch {
-    uint32_t dp;
-    StrategyRef ref;
-  };
-  const auto scan_worker = [&](uint32_t w, std::vector<Touch>& out) {
-    const auto& strategies = catalog.strategies_[w];
-    for (size_t i = 0; i < strategies.size(); ++i) {
-      const CVdpsEntry& entry = catalog.entries_[strategies[i].entry_id];
-      for (uint32_t dp : entry.dps) {
-        out.push_back(Touch{dp, StrategyRef{w, static_cast<int32_t>(i)}});
-      }
-    }
-  };
-  if (pool != nullptr && num_workers > 1) {
-    std::vector<std::vector<Touch>> chunk_out(
-        ThreadPool::NumChunks(num_workers, kWorkerChunk));
-    pool->RunChunked(num_workers, kWorkerChunk,
-                     [&](size_t chunk, size_t begin, size_t end) {
-                       for (size_t w = begin; w < end; ++w) {
-                         scan_worker(static_cast<uint32_t>(w),
-                                     chunk_out[chunk]);
-                       }
-                     });
-    for (const auto& out : chunk_out) {
-      for (const Touch& t : out) {
-        catalog.touching_[t.dp].push_back(t.ref);
-      }
-    }
-  } else {
-    std::vector<Touch> out;
-    for (uint32_t w = 0; w < num_workers; ++w) {
-      out.clear();
-      scan_worker(w, out);
-      for (const Touch& t : out) {
-        catalog.touching_[t.dp].push_back(t.ref);
-      }
-    }
-  }
   catalog.gen_.strategies_ms = strat_sw.ElapsedMillis();
   for (const auto& s : catalog.strategies_) {
     catalog.gen_.strategies += s.size();
@@ -350,33 +303,10 @@ Status VdpsCatalog::ValidateInvariants(const Instance& instance) const {
       }
     }
   }
-  // Reconstruct the inverted index independently; the build order (worker
-  // asc, strategy asc) is part of the contract BestResponseEngine::Mark
-  // relies on.
-  if (touching_.size() != instance.num_delivery_points()) {
-    return Status::Internal("inverted index sized off the instance");
-  }
-  std::vector<std::vector<StrategyRef>> expected(touching_.size());
-  for (uint32_t w = 0; w < strategies_.size(); ++w) {
-    for (size_t i = 0; i < strategies_[w].size(); ++i) {
-      for (uint32_t dp : entries_[strategies_[w][i].entry_id].dps) {
-        expected[dp].push_back(StrategyRef{w, static_cast<int32_t>(i)});
-      }
-    }
-  }
-  for (size_t dp = 0; dp < touching_.size(); ++dp) {
-    if (touching_[dp].size() != expected[dp].size()) {
-      return Status::Internal(StrFormat(
-          "inverted index at dp %zu has %zu refs, expected %zu", dp,
-          touching_[dp].size(), expected[dp].size()));
-    }
-    for (size_t i = 0; i < expected[dp].size(); ++i) {
-      if (touching_[dp][i].worker != expected[dp][i].worker ||
-          touching_[dp][i].strategy != expected[dp][i].strategy) {
-        return Status::Internal(StrFormat(
-            "inverted index mismatch at dp %zu position %zu", dp, i));
-      }
-    }
+  if (num_dps_ != instance.num_delivery_points()) {
+    return Status::Internal(StrFormat(
+        "catalog sized for %zu delivery points, instance has %zu", num_dps_,
+        instance.num_delivery_points()));
   }
   return Status::Ok();
 }

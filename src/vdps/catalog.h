@@ -215,7 +215,6 @@ struct DeltaCounters {
   double adjacency_ms = 0.0;
   double enumerate_ms = 0.0;
   double strategies_ms = 0.0;
-  double index_ms = 0.0;
   /// End-to-end ApplyDelta wall time.
   double wall_ms = 0.0;
 
@@ -244,14 +243,6 @@ struct WorkerStrategy {
 static_assert(std::is_trivially_copyable_v<WorkerStrategy>);
 static_assert(sizeof(WorkerStrategy) == 32);
 
-/// Reference to one worker strategy, as stored in the delivery-point →
-/// strategies inverted index.
-struct StrategyRef {
-  uint32_t worker = 0;
-  /// Index into VdpsCatalog::strategies(worker).
-  int32_t strategy = 0;
-};
-
 /// The set of C-VDPSs of one instance plus per-worker strategy
 /// materialization. Generated once and shared by every solver.
 class VdpsCatalog {
@@ -265,8 +256,8 @@ class VdpsCatalog {
   /// against to `new_instance`, described by `plan` (removals by old index,
   /// additions appended at the tail — see CatalogDeltaPlan). The result is
   /// bit-identical to `Generate(new_instance, config())`, entry for entry,
-  /// strategy for strategy, index slot for index slot (pinned by
-  /// tests/stream_identity_test.cc), at a fraction of the cost:
+  /// strategy for strategy (pinned by tests/stream_identity_test.cc), at a
+  /// fraction of the cost:
   ///
   ///   - removals are pure filters + monotone renumbering (no enumeration,
   ///     no route evaluation);
@@ -320,16 +311,6 @@ class VdpsCatalog {
   /// bounds.
   size_t MaxStrategiesPerWorker() const;
 
-  /// Every strategy (across all workers) whose VDPS contains delivery point
-  /// `dp` — the delivery-point → strategies inverted index that lets the
-  /// BestResponseEngine invalidate only the availability cache entries a
-  /// strategy switch can actually affect.
-  const std::vector<StrategyRef>& strategies_touching(uint32_t dp) const {
-    return touching_[dp];
-  }
-  /// Number of delivery points the inverted index covers.
-  size_t num_indexed_delivery_points() const { return touching_.size(); }
-
   /// True if generation hit the max_entries cap (results may be partial).
   bool truncated() const { return truncated_; }
 
@@ -359,9 +340,8 @@ class VdpsCatalog {
   /// Deep self-check (FTA_VALIDATE contract, run once at the end of
   /// Generate): every entry passes ValidateCVdpsEntry, per-worker
   /// strategies are payoff-sorted, reference existing entries, respect
-  /// maxDP, carry the option/total_time/payoff that BestOptionFor would
-  /// materialize today, and the delivery-point → strategies inverted index
-  /// matches an independent reconstruction element-for-element.
+  /// maxDP, and carry the option/total_time/payoff that BestOptionFor would
+  /// materialize today.
   Status ValidateInvariants(const Instance& instance) const;
 
   /// Summary line for logs: entry/strategy counts.
@@ -376,7 +356,8 @@ class VdpsCatalog {
   std::vector<std::vector<WorkerStrategy>> strategies_;
   /// strategy_payoffs_[w][i] == strategies_[w][i].payoff, bit for bit.
   std::vector<std::vector<double>> strategy_payoffs_;
-  std::vector<std::vector<StrategyRef>> touching_;  // per delivery point
+  /// |DP| of the instance this catalog answers for (ApplyDelta's old size).
+  size_t num_dps_ = 0;
   GenerationCounters gen_;
   VdpsConfig config_;
   RadiusAdjacency adjacency_;

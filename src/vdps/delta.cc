@@ -164,7 +164,6 @@ void DeltaCounters::Merge(const DeltaCounters& o) {
   adjacency_ms += o.adjacency_ms;
   enumerate_ms += o.enumerate_ms;
   strategies_ms += o.strategies_ms;
-  index_ms += o.index_ms;
   wall_ms += o.wall_ms;
 }
 
@@ -187,7 +186,7 @@ Status VdpsCatalog::ApplyDelta(const Instance& new_instance,
         "truncation point is enumeration-path-dependent");
   }
   const size_t old_workers = strategies_.size();
-  const size_t old_dps = touching_.size();
+  const size_t old_dps = num_dps_;
   if (!std::isinf(config_.epsilon) && old_dps > 0 &&
       adjacency_.num_points() != old_dps) {
     return Status::FailedPrecondition(
@@ -515,26 +514,7 @@ Status VdpsCatalog::ApplyDelta(const Instance& new_instance,
   for (const auto& sts : strategies_) total_strategies += sts.size();
   d.strategies_added = total_strategies - kept_strategies;
 
-  // ---- 7. Inverted index rebuild: the serial (worker asc, strategy asc)
-  // append order of Generate, over the patched strategy lists. Linear in
-  // the index size — cheap next to enumeration, and exactly the build
-  // order BestResponseEngine::Mark relies on. ----
-  Stopwatch index_sw;
-  {
-    FTA_SPAN("vdps/delta_index");
-    // Clear, don't free: each slot keeps its capacity for the next tick.
-    touching_.resize(new_dps);
-    for (std::vector<StrategyRef>& refs : touching_) refs.clear();
-    for (uint32_t w = 0; w < strategies_.size(); ++w) {
-      for (size_t i = 0; i < strategies_[w].size(); ++i) {
-        for (uint32_t dp : entries_[strategies_[w][i].entry_id].dps) {
-          touching_[dp].push_back(StrategyRef{w, static_cast<int32_t>(i)});
-        }
-      }
-    }
-  }
-  d.index_ms = index_sw.ElapsedMillis();
-
+  num_dps_ = new_dps;
   RebuildStrategyPayoffs();
 
   // Phase-boundary contract, same as Generate: the patched catalog is

@@ -2,6 +2,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -13,10 +16,10 @@
 
 // Lifecycle and admission-control semantics of the assignment server:
 // typed rejections (full queue, unknown center, protocol violations,
-// shutdown), drain-on-shutdown answering every admitted request —
-// including force-sealing batches whose tick never saw final_in_tick —
-// and the paused-server path tests use to fill the queue
-// deterministically.
+// shutdown, one invalid-request case per event rule), drain-on-shutdown
+// answering every admitted request — including force-sealing batches whose
+// tick never saw final_in_tick — and the paused-server path tests use to
+// fill the queue deterministically.
 
 namespace fta {
 namespace {
@@ -114,6 +117,84 @@ TEST(ServeLifecycleTest, TypedRejections) {
   EXPECT_EQ(server.counters().rejected_shutdown, 1u);
   EXPECT_EQ(server.counters().answered, 3u);
 }
+
+/// One ValidateStreamEvent rule, broken in a request's worker (index 0) or
+/// task (index 1) event.
+struct InvalidEventCase {
+  const char* rule;
+  std::function<void(StreamEvent& worker, StreamEvent& task)> corrupt;
+};
+
+class InvalidRequestTest : public ::testing::TestWithParam<InvalidEventCase> {
+};
+
+TEST_P(InvalidRequestTest, RejectedWithoutATrace) {
+  ThreadPool pool(2);
+  AssignmentServer server(TinyServer(16, true), TwoCenters(), &pool);
+  ServeRequest bad = TaskRequest(0, 0, true);
+  GetParam().corrupt(bad.events[0], bad.events[1]);
+  EXPECT_EQ(server.Submit(std::move(bad)), AdmissionCode::kInvalidRequest);
+  EXPECT_EQ(server.in_flight(), 0u);
+  // Tick 0 is still open for admission: the rejection changed nothing.
+  EXPECT_EQ(server.Submit(TaskRequest(0, 0, true)), AdmissionCode::kAdmitted);
+  server.Drain();
+  EXPECT_EQ(server.counters().rejected_invalid, 1u);
+  EXPECT_EQ(server.counters().admitted, 1u);
+  EXPECT_EQ(server.counters().answered, 1u);
+  ASSERT_EQ(server.responses(0).size(), 1u);
+  EXPECT_EQ(server.responses(0)[0].shard_seq, 0u);
+  EXPECT_EQ(server.responses(0)[0].coalesced_requests, 1u);
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+INSTANTIATE_TEST_SUITE_P(
+    Rules, InvalidRequestTest,
+    ::testing::Values(
+        InvalidEventCase{"NonFiniteTime",
+                         [](StreamEvent&, StreamEvent& task) {
+                           task.time = kNan;
+                         }},
+        InvalidEventCase{"NonFiniteWorkerLocation",
+                         [](StreamEvent& worker, StreamEvent&) {
+                           worker.worker.location.y = kInf;
+                         }},
+        InvalidEventCase{"ZeroMaxDp",
+                         [](StreamEvent& worker, StreamEvent&) {
+                           worker.worker.max_delivery_points = 0;
+                         }},
+        InvalidEventCase{"NonFiniteDeparture",
+                         [](StreamEvent& worker, StreamEvent&) {
+                           worker.departure = -kInf;
+                         }},
+        InvalidEventCase{"NonFiniteTaskLocation",
+                         [](StreamEvent&, StreamEvent& task) {
+                           task.location.x = kNan;
+                         }},
+        InvalidEventCase{"NonFiniteReward",
+                         [](StreamEvent&, StreamEvent& task) {
+                           task.reward = kNan;
+                         }},
+        InvalidEventCase{"NegativeReward",
+                         [](StreamEvent&, StreamEvent& task) {
+                           task.reward = -1.0;
+                         }},
+        InvalidEventCase{"NonFiniteServiceWindow",
+                         [](StreamEvent&, StreamEvent& task) {
+                           task.service_window = kInf;
+                         }},
+        InvalidEventCase{"NonPositiveServiceWindow",
+                         [](StreamEvent&, StreamEvent& task) {
+                           task.service_window = 0.0;
+                         }},
+        InvalidEventCase{"NonFiniteQueueExpiry",
+                         [](StreamEvent&, StreamEvent& task) {
+                           task.queue_expiry = kNan;
+                         }}),
+    [](const ::testing::TestParamInfo<InvalidEventCase>& param) {
+      return std::string(param.param.rule);
+    });
 
 TEST(ServeLifecycleTest, CallbackSeesEveryBatchInShardOrder) {
   ThreadPool pool(2);

@@ -111,6 +111,10 @@ TEST(ServeTraceTest, RejectsMalformedRows) {
       {"inf reward", 6, "t,0.2,1,2,inf,3,1.5", "not finite"},
       {"nan queue_expiry", 6, "t,0.2,1,2,1,nan,1.5", "neither finite nor +inf"},
       {"inf service_window", 6, "t,0.2,1,2,1,3,inf", "not finite"},
+      // Element rules shared with AssignmentServer::Submit.
+      {"negative reward", 6, "t,0.2,1,2,-1,3,1.5", "reward is negative"},
+      {"zero service_window", 6, "t,0.2,1,2,1,3,0",
+       "service_window is not positive"},
       // Per-center batching protocol.
       {"ticks go backwards", kAppend, "req,1,1,1", "go backwards"},
       {"sealed tick repeats", kAppend, "req,0,1,1", "go backwards"},

@@ -13,7 +13,7 @@
 // kColdSeeded regenerates the catalog from scratch every tick and seeds the
 // solver from the projected previous equilibrium; kWarm delta-patches the
 // catalog (VdpsCatalog::ApplyDelta) and uses the same seed. Both fold every
-// tick's full catalog (entries, strategies, inverted index, ε-adjacency)
+// tick's full catalog (entries, strategies, ε-adjacency)
 // and assignment into one FNV-1a whole-run digest, so a single EXPECT_EQ
 // pins, bit for bit, across seeds × thread counts × solvers:
 //   * delta-patched catalog ≡ regenerated catalog, and

@@ -75,7 +75,9 @@ tools/fta_lint/testdata/ and pin every diagnostic exactly.
       exactly zero such sites.
 
   hot-path-allocation
-      An allocation (`new`, make_unique/make_shared) or a growth call
+      An allocation (`new`, make_unique/make_shared), a standard container
+      constructed with arguments (`std::vector<T> v(n)`, `{...}`, or a
+      sized temporary — each allocates on every pass), or a growth call
       (push_back/emplace_back on a container with no `.reserve(` in the
       same file) inside a marked steady-state region of
       src/game/best_response*, src/game/payoff_ledger* or
@@ -181,6 +183,16 @@ HOT_BEGIN = re.compile(r"//\s*FTA_HOT_BEGIN\(([\w.-]+)\)")
 HOT_END = re.compile(r"//\s*FTA_HOT_END\(([\w.-]+)\)")
 HOT_ALLOC = re.compile(
     r"(?<![\w:])new\b|\b(?:std::)?make_(?:unique|shared)\b(?=\s*<)"
+)
+# A standard container constructed with arguments: a named declaration
+# `std::vector<T> name(args)` / `name{args}` or a temporary
+# `std::vector<T>(args)`. Default construction, references and parameter
+# declarations do not match.
+HOT_SIZED = re.compile(
+    r"\b(std::(?:vector|deque|list|forward_list|map|multimap|set|multiset"
+    r"|unordered_map|unordered_multimap|unordered_set|unordered_multiset"
+    r"|string|basic_string)\b(?:\s*<.*>)?(?:\s*[A-Za-z_]\w*)?)"
+    r"\s*[({]\s*[^\s)}]"
 )
 HOT_APPEND = re.compile(
     r"([A-Za-z_]\w*(?:\[[^\]]*\])?(?:\s*(?:\.|->)\s*[A-Za-z_]\w*)*)"
@@ -657,6 +669,18 @@ class HotPathAllocationRule(Rule):
                     "the region or reuse a pre-sized buffer "
                     "(// NOLINT(fta-alloc) with a reason if amortized by "
                     "design)",
+                    out,
+                )
+                continue
+            m = HOT_SIZED.search(line)
+            if m:
+                self.report(
+                    scan, i,
+                    f"'{m.group(1).strip()}' constructs a sized container "
+                    f"inside steady-state hot region '{region}'; size it "
+                    "once outside the region (e.g. a member sized in the "
+                    "constructor) and reuse it (// NOLINT(fta-alloc) with "
+                    "a reason if amortized by design)",
                     out,
                 )
                 continue

@@ -62,6 +62,21 @@ class ViolationFixtures(unittest.TestCase):
             "'winners.reserve(' anywhere in this file; size the container "
             "up front or reuse a caller-owned buffer (// NOLINT(fta-alloc) "
             "with a reason if amortized by design)",
+            "src/game/best_response_sized.cc:17: [hot-path-allocation] "
+            "'std::vector<Candidate> winners' constructs a sized container "
+            "inside steady-state hot region 'fan-out'; size it once outside "
+            "the region (e.g. a member sized in the constructor) and reuse "
+            "it (// NOLINT(fta-alloc) with a reason if amortized by design)",
+            "src/game/best_response_sized.cc:18: [hot-path-allocation] "
+            "'std::vector<int> counts' constructs a sized container "
+            "inside steady-state hot region 'fan-out'; size it once outside "
+            "the region (e.g. a member sized in the constructor) and reuse "
+            "it (// NOLINT(fta-alloc) with a reason if amortized by design)",
+            "src/game/best_response_sized.cc:19: [hot-path-allocation] "
+            "'std::vector<double>' constructs a sized container "
+            "inside steady-state hot region 'fan-out'; size it once outside "
+            "the region (e.g. a member sized in the constructor) and reuse "
+            "it (// NOLINT(fta-alloc) with a reason if amortized by design)",
             "src/game/metric_rebuild.cc:12: [sorted-metric-rebuild] "
             "'MeanAbsolutePairwiseDifference(' copies and re-sorts payoffs "
             "the engine's ledger already keeps sorted; read "
@@ -192,6 +207,11 @@ class ViolationFixtures(unittest.TestCase):
         # region, and the NOLINT(fta-alloc) escape: clean.
         for line in (16, 24, 27):
             self.assertNotIn(f"src/game/best_response_hot.cc:{line}:", text)
+        # Container parameters and references, default construction, the
+        # NOLINT(fta-alloc) escape, and a sized temporary outside the
+        # region: clean.
+        for line in (16, 20, 21, 22, 28):
+            self.assertNotIn(f"src/game/best_response_sized.cc:{line}:", text)
         # The delta patch's reserved strategy buffer and the merge after
         # the region: clean.
         for line in (23, 26):
