@@ -24,8 +24,10 @@ namespace {
 uint64_t TickOf(double time, double period) {
   if (time <= 0.0) return 0;
   uint64_t t = static_cast<uint64_t>(std::ceil(time / period));
-  // Guard the multiply-rounding edge so time <= t * period always holds.
+  // The division rounds either way (3 * 0.1 / 0.1 > 3): step to the least
+  // t with time <= t * period, as the multiplication rounds.
   while (static_cast<double>(t) * period < time) ++t;
+  while (t > 0 && time <= static_cast<double>(t - 1) * period) --t;
   return t;
 }
 

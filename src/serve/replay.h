@@ -49,7 +49,8 @@ ServeTrace BuildServeTrace(const CityWorkload& city,
 struct ReferenceResult {
   /// Final running digest per center.
   std::vector<uint64_t> digests;
-  /// Per-center responses; latency_ms is 0 (observational field).
+  /// Per-center responses; wait_ms and latency_ms are 0 (observational
+  /// fields).
   std::vector<std::vector<ServeResponse>> responses;
   uint64_t batches = 0;
   uint64_t assignments = 0;

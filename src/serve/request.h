@@ -77,6 +77,10 @@ struct ServeResponse {
   /// the sequential reference's digest at the same shard_seq iff behavior
   /// matches bit for bit.
   uint64_t shard_digest = 0;
+  /// Seal -> runner-pickup wall time: how long the sealed batch waited
+  /// for its turn. Observational only, like latency_ms; 0 in the
+  /// sequential reference.
+  double wait_ms = 0.0;
   /// First-admission -> response-emission wall time. Observational only
   /// (never folded into digests).
   double latency_ms = 0.0;

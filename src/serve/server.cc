@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -28,10 +30,12 @@ namespace {
 void ObserveBatch(const ServeResponse& r) {
   auto& reg = obs::MetricsRegistry::Global();
   static obs::QuantileSketch& latency = reg.GetSketch("serve/latency_ms", 0.01);
+  static obs::QuantileSketch& wait = reg.GetSketch("serve/wait_ms", 0.01);
   static obs::QuantileSketch& solve = reg.GetSketch("serve/solve_ms", 0.01);
   static obs::QuantileSketch& coalesced =
       reg.GetSketch("serve/batch_requests", 0.01);
   latency.Observe(r.latency_ms);
+  wait.Observe(r.wait_ms);
   solve.Observe(r.stats.solve_ms);
   coalesced.Observe(static_cast<double>(r.coalesced_requests));
 }
@@ -140,33 +144,39 @@ TickEngineConfig ShardEngineConfig(const ServerConfig& config, uint32_t shard,
   return e;
 }
 
-/// One center's shard: the open/ready batch state behind `mu`, and the
-/// tick engine behind `solve_mu` (held for the duration of a solve; the
-/// busy protocol keeps it uncontended — at most one runner per shard).
+DispatchKey MakeDispatchKey(uint64_t tick, double last_tick_ms,
+                            size_t requests, uint64_t seal) {
+  return {tick,
+          last_tick_ms / static_cast<double>(std::max<size_t>(requests, 1)),
+          seal};
+}
+
+bool DispatchesBefore(const DispatchKey& a, const DispatchKey& b) {
+  return std::tie(a.tick, a.cost_per_request_ms, a.seal) <
+         std::tie(b.tick, b.cost_per_request_ms, b.seal);
+}
+
+namespace {
+
+/// Heap order for ready_: std heaps keep the greatest element on top, so
+/// "greater" is "dispatched first".
+struct RunsLater {
+  template <typename Ready>
+  bool operator()(const Ready& a, const Ready& b) const {
+    return DispatchesBefore(b.key, a.key);
+  }
+};
+
+}  // namespace
+
+/// One center's solver: the tick engine behind `solve_mu` (held for the
+/// duration of a solve, and uncontended: a center has at most one runner)
+/// and the record of what it answered behind `mu`.
 struct AssignmentServer::Shard {
   Shard(TickEngineConfig cfg, size_t window_batches)
       : engine(std::move(cfg)), solve_window(window_batches) {}
 
-  struct Batch {
-    uint64_t tick = 0;
-    uint64_t first_global_seq = 0;
-    size_t requests = 0;
-    std::vector<StreamEvent> events;
-    /// Started at first admission; read at response emission (latency).
-    Stopwatch admitted;
-  };
-
   Mutex mu;
-  /// Sealed batches awaiting a runner, FIFO in seal (= admission) order.
-  std::deque<Batch> ready FTA_GUARDED_BY(mu);
-  /// The coalescing batch of the center's current tick.
-  Batch open FTA_GUARDED_BY(mu);
-  bool open_active FTA_GUARDED_BY(mu) = false;
-  /// At most one runner drains `ready` at a time — with FIFO pop order
-  /// this serializes the shard's timeline however many runner threads the
-  /// server has.
-  bool busy FTA_GUARDED_BY(mu) = false;
-  uint64_t batches_done FTA_GUARDED_BY(mu) = 0;
   uint64_t digest FTA_GUARDED_BY(mu) = 0;
   std::vector<ServeResponse> responses FTA_GUARDED_BY(mu);
 
@@ -176,16 +186,39 @@ struct AssignmentServer::Shard {
   obs::RollingWindow solve_window;
 };
 
+/// A center's admission-protocol position and its batches, all under the
+/// server's admit_mu_: validation, sequencing, coalescing and dispatch
+/// happen entirely inside the admission stage.
+struct AssignmentServer::CenterQueue {
+  struct Batch {
+    uint64_t tick = 0;
+    uint64_t first_global_seq = 0;
+    size_t requests = 0;
+    uint64_t seal = 0;
+    std::vector<StreamEvent> events;
+    /// Started at first admission; read at response emission (latency).
+    Stopwatch admitted;
+    /// Restarted at the seal; read at runner pickup (wait).
+    Stopwatch sealed;
+  };
+
+  /// `open` coalesces the requests of tick `open.tick`.
+  bool is_open = false;
+  Batch open;
+  /// Smallest admissible tick when no batch is open.
+  uint64_t min_tick = 0;
+  /// Sealed batches in seal (= admission) order. The front batch stays
+  /// until it is answered (its runner moves the contents out), so the
+  /// center is in ready_ or running exactly when this is non-empty.
+  std::deque<Batch> sealed;
+  /// tick_ms of the center's last answered batch; 0 before the first.
+  double last_tick_ms = 0.0;
+};
+
 AssignmentServer::AssignmentServer(ServerConfig config,
                                    std::vector<CenterSpec> centers,
                                    ThreadPool* pool)
-    : config_(std::move(config)),
-      pool_(pool),
-      // Unbounded on purpose: a runner drains its whole shard FIFO under
-      // one token, so sibling tokens go stale and outlive the in-flight
-      // accounting that bounds *requests* — tying the token queue's
-      // capacity to queue_capacity would overflow on such stale tokens.
-      batch_queue_(BoundedQueue<uint32_t>::kUnbounded) {
+    : config_(std::move(config)), pool_(pool) {
   if (config_.num_threads == 0) config_.num_threads = 1;
   FTA_CHECK_MSG(pool_ != nullptr, "AssignmentServer requires a ThreadPool");
   FTA_CHECK_MSG(pool_->num_threads() >= config_.num_threads,
@@ -197,7 +230,10 @@ AssignmentServer::AssignmentServer(ServerConfig config,
         ShardEngineConfig(config_, c, centers[c].location),
         config_.window_batches));
   }
-  admit_.assign(centers.size(), AdmitState{});
+  {
+    MutexLock lock(&admit_mu_);
+    queues_.resize(centers.size());
+  }
   if (!config_.start_paused) Resume();
 }
 
@@ -205,7 +241,6 @@ AssignmentServer::~AssignmentServer() { Drain(); }
 
 AdmissionCode AssignmentServer::Submit(ServeRequest request) {
   const uint32_t center = request.center;
-  const bool seal = request.final_in_tick;
   // Validated before the admission mutex: a bad event must be rejected
   // here, never reach a shard's TickEngine.
   const bool valid =
@@ -222,13 +257,13 @@ AdmissionCode AssignmentServer::Submit(ServeRequest request) {
     ++counters_.rejected_shutdown;
     return AdmissionCode::kShuttingDown;
   }
-  if (center >= shards_.size()) {
+  if (center >= queues_.size()) {
     ++counters_.rejected_unknown;
     return AdmissionCode::kUnknownCenter;
   }
-  AdmitState& as = admit_[center];
-  const bool in_order = as.open ? request.tick == as.open_tick
-                                : request.tick >= as.min_tick;
+  CenterQueue& q = queues_[center];
+  const bool in_order = q.is_open ? request.tick == q.open.tick
+                                  : request.tick >= q.min_tick;
   if (!in_order) {
     ++counters_.rejected_order;
     return AdmissionCode::kOutOfOrder;
@@ -241,44 +276,42 @@ AdmissionCode AssignmentServer::Submit(ServeRequest request) {
   // admission mutex, in Submit call order — the determinism linchpin.
   ++in_flight_;
   ++counters_.admitted;
-  const uint64_t gseq = global_seq_++;
-  if (!as.open) {
-    as.open = true;
-    as.open_tick = request.tick;
+  if (!q.is_open) {
+    q.is_open = true;
+    q.open = CenterQueue::Batch();
+    q.open.tick = request.tick;
+    q.open.first_global_seq = global_seq_;
   }
-  if (seal) {
-    as.open = false;
-    as.min_tick = request.tick + 1;
-  }
-  Shard& s = *shards_[center];
-  {
-    MutexLock slock(&s.mu);
-    if (!s.open_active) {
-      s.open = Shard::Batch();
-      s.open.tick = request.tick;
-      s.open.first_global_seq = gseq;
-      s.open_active = true;
-    }
-    ++s.open.requests;
-    for (StreamEvent& ev : request.events) {
-      s.open.events.push_back(std::move(ev));
-    }
-    if (seal) {
-      s.ready.push_back(std::move(s.open));
-      s.open = Shard::Batch();
-      s.open_active = false;
-    }
-  }
-  if (seal) {
-    // Pushed while still holding admit_mu_: Drain() flips draining_ under
-    // this mutex strictly before it can Close() the queue, and this thread
-    // observed draining_ == false above, so kClosed is unreachable; the
-    // token queue is unbounded, so kFull is too.
-    const QueuePush r = batch_queue_.TryPush(center);
-    FTA_CHECK_MSG(r == QueuePush::kOk,
-                  "token push failed under the admission lock");
-  }
+  ++global_seq_;
+  ++q.open.requests;
+  q.open.events.insert(q.open.events.end(),
+                       std::make_move_iterator(request.events.begin()),
+                       std::make_move_iterator(request.events.end()));
+  if (request.final_in_tick) Seal(center);
   return AdmissionCode::kAdmitted;
+}
+
+void AssignmentServer::Seal(uint32_t center) {
+  CenterQueue& q = queues_[center];
+  q.is_open = false;
+  q.min_tick = q.open.tick + 1;
+  q.open.seal = seals_++;
+  q.open.sealed.Restart();
+  q.sealed.push_back(std::move(q.open));
+  // A non-empty FIFO means the center is already in ready_ or running.
+  if (q.sealed.size() == 1) {
+    PushReady(center);
+    work_cv_.NotifyOne();
+  }
+}
+
+void AssignmentServer::PushReady(uint32_t center) {
+  const CenterQueue& q = queues_[center];
+  const CenterQueue::Batch& front = q.sealed.front();
+  ready_.push_back(
+      {MakeDispatchKey(front.tick, q.last_tick_ms, front.requests, front.seal),
+       center});
+  std::push_heap(ready_.begin(), ready_.end(), RunsLater());
 }
 
 void AssignmentServer::Resume() {
@@ -301,34 +334,29 @@ void AssignmentServer::Resume() {
 }
 
 void AssignmentServer::RunnerLoop() {
-  uint32_t center = 0;
-  while (batch_queue_.Pop(&center)) RunShard(center);
-  MutexLock lock(&admit_mu_);
-  --runners_active_;
-  drain_cv_.NotifyAll();
-}
-
-void AssignmentServer::RunShard(uint32_t center) {
-  Shard& s = *shards_[center];
-  {
-    MutexLock lock(&s.mu);
-    // Another runner owns this shard; it re-checks `ready` before
-    // releasing `busy`, so the batch this token announced is covered.
-    if (s.busy) return;
-    s.busy = true;
-  }
+  CenterQueue::Batch batch;
   for (;;) {
-    Shard::Batch batch;
+    uint32_t center = 0;
+    double wait_ms = 0.0;
     {
-      MutexLock lock(&s.mu);
-      if (s.ready.empty()) {
-        s.busy = false;
+      MutexLock lock(&admit_mu_);
+      // Once draining with nothing in flight, no batch can appear again.
+      while (ready_.empty() && !(draining_ && in_flight_ == 0)) {
+        work_cv_.Wait(admit_mu_);
+      }
+      if (ready_.empty()) {
+        --runners_active_;
+        drain_cv_.NotifyAll();
         return;
       }
-      batch = std::move(s.ready.front());
-      s.ready.pop_front();
+      std::pop_heap(ready_.begin(), ready_.end(), RunsLater());
+      center = ready_.back().center;
+      ready_.pop_back();
+      batch = std::move(queues_[center].sealed.front());
+      wait_ms = batch.sealed.ElapsedMillis();
     }
 
+    Shard& s = *shards_[center];
     TickStats ts;
     uint64_t digest = 0;
     {
@@ -350,10 +378,11 @@ void AssignmentServer::RunShard(uint32_t center) {
     resp.coalesced_requests = batch.requests;
     resp.stats = ts;
     resp.shard_digest = digest;
+    resp.wait_ms = wait_ms;
     resp.latency_ms = batch.admitted.ElapsedMillis();
     {
       MutexLock lock(&s.mu);
-      resp.shard_seq = s.batches_done++;
+      resp.shard_seq = s.responses.size();
       s.digest = digest;
       s.responses.push_back(resp);
     }
@@ -363,6 +392,11 @@ void AssignmentServer::RunShard(uint32_t center) {
     if (callback_) callback_(resp);
     {
       MutexLock lock(&admit_mu_);
+      CenterQueue& q = queues_[center];
+      q.sealed.pop_front();
+      q.last_tick_ms = ts.tick_ms;
+      // No notify: this runner takes the next batch itself.
+      if (!q.sealed.empty()) PushReady(center);
       ++counters_.batches;
       counters_.answered += batch.requests;
       counters_.assignments += ts.assigned_workers;
@@ -370,7 +404,10 @@ void AssignmentServer::RunShard(uint32_t center) {
       counters_.catalog_ms += ts.catalog_ms;
       counters_.solve_ms += ts.solve_ms;
       in_flight_ -= batch.requests;
-      if (in_flight_ == 0) drain_cv_.NotifyAll();
+      if (in_flight_ == 0) {
+        drain_cv_.NotifyAll();
+        if (draining_) work_cv_.NotifyAll();
+      }
     }
   }
 }
@@ -388,47 +425,25 @@ void AssignmentServer::Drain() {
       return;
     }
     draining_ = true;
-    for (uint32_t c = 0; c < static_cast<uint32_t>(admit_.size()); ++c) {
-      if (!admit_[c].open) continue;
-      admit_[c].open = false;
-      admit_[c].min_tick = admit_[c].open_tick + 1;
-      Shard& s = *shards_[c];
-      bool force_sealed = false;
-      {
-        MutexLock slock(&s.mu);
-        if (s.open_active) {
-          s.ready.push_back(std::move(s.open));
-          s.open = Shard::Batch();
-          s.open_active = false;
-          force_sealed = true;
-        }
-      }
-      // Unbounded queue, not yet closed (only this owner closes it, below):
-      // the push cannot fail.
-      if (force_sealed) {
-        FTA_CHECK_MSG(batch_queue_.TryPush(c) == QueuePush::kOk,
-                      "token push failed during drain");
-      }
+    for (uint32_t c = 0; c < static_cast<uint32_t>(queues_.size()); ++c) {
+      if (queues_[c].is_open) Seal(c);
     }
+    // Idle runners re-check: with nothing in flight they exit.
+    work_cv_.NotifyAll();
   }
   // 2. Runners must be live to drain the backlog (a paused server drains
   //    too).
   Resume();
-  // 3. Every admitted request answered...
-  {
-    MutexLock lock(&admit_mu_);
-    while (in_flight_ > 0) drain_cv_.Wait(admit_mu_);
-  }
-  // 4. ...then park the runners and mirror the aggregates.
-  batch_queue_.Close();
+  // 3. Every admitted request answered and every runner parked, then
+  //    mirror the aggregates.
   ServeCounters final_counters;
   {
     MutexLock lock(&admit_mu_);
-    while (runners_active_ > 0) drain_cv_.Wait(admit_mu_);
+    while (in_flight_ > 0 || runners_active_ > 0) drain_cv_.Wait(admit_mu_);
     final_counters = counters_;
   }
   PublishServe(final_counters);
-  // 5. Release any waiters from step 1.
+  // 4. Release any waiters from step 1.
   MutexLock lock(&admit_mu_);
   drained_ = true;
   drain_cv_.NotifyAll();
@@ -462,7 +477,7 @@ std::vector<uint64_t> AssignmentServer::shard_batch_counts() const {
   counts.reserve(shards_.size());
   for (const auto& shard : shards_) {
     MutexLock lock(&shard->mu);
-    counts.push_back(shard->batches_done);
+    counts.push_back(shard->responses.size());
   }
   return counts;
 }

@@ -8,10 +8,10 @@
 //
 // Pipeline:  Submit() → admission control (typed reject/shed) → per-center
 // batch coalescing (requests of one tick merge into one solve) → sealed
-// batches flow through an MPMC token queue to runner threads → each runner
-// drains its shard FIFO, runs the shared stream/ tick machinery (delta-
-// patched catalog, warm-started solver), and emits a sequence-numbered
-// response.
+// batches queue per center → each runner takes one batch at a time from
+// the ready center that DispatchesBefore all others, runs the shared
+// stream/ tick machinery (delta-patched catalog, warm-started solver),
+// and emits a sequence-numbered response.
 //
 // Determinism argument (DESIGN.md §14): the paper solves centers
 // independently (Section VII-A), so a center is a closed timeline — the
@@ -20,7 +20,8 @@
 // stage that assigns sequence numbers and appends to the center's open
 // batch in Submit call order; the final_in_tick marker seals the batch
 // before it becomes runnable. Runners obey two invariants — at most one
-// runner per shard at a time (the busy flag), sealed batches solved in
+// runner per shard at a time (a center is in the dispatch heap or
+// running only while it has sealed batches), sealed batches solved in
 // FIFO order — so scheduling decides only when a batch runs. Per-center
 // digests are therefore bit-identical to a sequential reference loop
 // (serve/replay.h) at any thread count, pinned by
@@ -36,7 +37,6 @@
 
 #include "geo/point.h"
 #include "obs/window.h"
-#include "serve/queue.h"
 #include "serve/request.h"
 #include "stream/tick_engine.h"
 #include "util/mutex.h"
@@ -50,8 +50,8 @@ struct CenterSpec {
 };
 
 struct ServerConfig {
-  /// Shard-runner concurrency: how many pool workers consume the batch
-  /// queue. The injected pool must have at least this many threads.
+  /// Shard-runner concurrency: how many pool workers solve sealed
+  /// batches. The injected pool must have at least this many threads.
   size_t num_threads = 1;
   /// Admission bound: maximum requests admitted but not yet answered.
   /// At the bound Submit() sheds with AdmissionCode::kQueueFull.
@@ -77,6 +77,27 @@ struct ServerConfig {
 /// engines.
 TickEngineConfig ShardEngineConfig(const ServerConfig& config, uint32_t shard,
                                    const Point& location);
+
+/// A sealed batch's place in the runners' dispatch order (DESIGN.md §14).
+/// Fixed when the batch's center enters the ready heap and never changed
+/// while it waits.
+struct DispatchKey {
+  uint64_t tick = 0;
+  /// The center's last TickStats::tick_ms over the batch's coalesced
+  /// requests (Smith's rule); 0 for a center that has not run.
+  double cost_per_request_ms = 0.0;
+  /// Seal order across all centers.
+  uint64_t seal = 0;
+};
+
+DispatchKey MakeDispatchKey(uint64_t tick, double last_tick_ms,
+                            size_t requests, uint64_t seal);
+
+/// True when a batch keyed `a` runs before one keyed `b`: the older tick,
+/// then the lower expected cost per waiting request, then the earlier
+/// seal. A batch is overtaken only by older ticks and by at most one
+/// same-tick batch per other center, so no center starves.
+bool DispatchesBefore(const DispatchKey& a, const DispatchKey& b);
 
 /// Whole-server aggregation, mirrored into the obs metrics registry at
 /// Drain().
@@ -157,42 +178,39 @@ class AssignmentServer {
 
  private:
   struct Shard;
+  /// Per-center admission and scheduling state (server.cc).
+  struct CenterQueue;
+  struct Ready {
+    DispatchKey key;
+    uint32_t center = 0;
+  };
 
   void RunnerLoop() FTA_EXCLUDES(admit_mu_);
-  void RunShard(uint32_t center) FTA_EXCLUDES(admit_mu_);
+  /// Seals `center`'s open batch into its FIFO; a center whose FIFO was
+  /// empty joins the ready heap.
+  void Seal(uint32_t center) FTA_REQUIRES(admit_mu_);
+  /// Pushes `center` onto the ready heap, keyed by its front batch.
+  void PushReady(uint32_t center) FTA_REQUIRES(admit_mu_);
 
   ServerConfig config_;
   ThreadPool* pool_;
   ResponseCallback callback_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Sealed-batch hand-off to the runners. Unbounded: tokens are hints,
-  /// and a runner drains its whole shard FIFO under one token, so sibling
-  /// tokens go stale in here after their batches are answered (and their
-  /// requests left in_flight_). Request-level boundedness is enforced by
-  /// the in_flight_ check in Submit, never by this queue; tokens are
-  /// pushed under admit_mu_, so Drain's Close() cannot be ordered between
-  /// an admission and its push (kClosed is unreachable in Submit).
-  BoundedQueue<uint32_t> batch_queue_;
-
-  /// Per-center admission protocol state (guarded by admit_mu_, not the
-  /// shard mutex: validation and sequencing happen entirely inside the
-  /// admission stage).
-  struct AdmitState {
-    /// A batch for open_tick is coalescing (not yet sealed).
-    bool open = false;
-    uint64_t open_tick = 0;
-    /// Smallest admissible tick when no batch is open.
-    uint64_t min_tick = 0;
-  };
 
   mutable Mutex admit_mu_;
+  /// Runners wait here for a ready center (or for the drain to finish).
+  CondVar work_cv_;
   CondVar drain_cv_;
   bool draining_ FTA_GUARDED_BY(admit_mu_) = false;
   bool started_ FTA_GUARDED_BY(admit_mu_) = false;
   uint64_t global_seq_ FTA_GUARDED_BY(admit_mu_) = 0;
+  uint64_t seals_ FTA_GUARDED_BY(admit_mu_) = 0;
   size_t in_flight_ FTA_GUARDED_BY(admit_mu_) = 0;
   size_t runners_active_ FTA_GUARDED_BY(admit_mu_) = 0;
-  std::vector<AdmitState> admit_ FTA_GUARDED_BY(admit_mu_);
+  std::vector<CenterQueue> queues_ FTA_GUARDED_BY(admit_mu_);
+  /// Min-heap (by DispatchesBefore) of the centers that have sealed
+  /// batches and no runner: each such center appears exactly once.
+  std::vector<Ready> ready_ FTA_GUARDED_BY(admit_mu_);
   ServeCounters counters_ FTA_GUARDED_BY(admit_mu_);
   /// Set by the draining thread once the full sequence (including the
   /// counter publish) completed; concurrent Drain() callers wait on

@@ -103,6 +103,32 @@ TEST(ServeIdentityTest, ShardedEqualsSequentialAcrossSeedsThreadsSolvers) {
   }
 }
 
+// More centers than runners, every request admitted before the runners
+// start: the dispatch heap is deep from the first pickup, so the runners
+// interleave centers by tick and cost from the outset.
+TEST(ServeIdentityTest, DeepReadySetMatchesSequential) {
+  CityWorkloadConfig shape = SmallCity();
+  shape.num_centers = 7;
+  const CityWorkload city = GenerateCityWorkload(shape, 4242);
+  const ServeTrace trace = BuildServeTrace(city, 3, 42);
+  ServerConfig config = SmallServer(42, 2, StreamSolver::kFgt);
+  config.queue_capacity = trace.requests.size();
+  config.start_paused = true;
+  const ReferenceResult ref = RunSequentialReference(config, trace);
+  ThreadPool pool(2);
+  std::vector<CenterSpec> centers;
+  for (const Point& p : city.centers) centers.push_back({p});
+  AssignmentServer server(config, std::move(centers), &pool);
+  StatusOr<uint64_t> retries = ReplayTrace(server, trace);
+  ASSERT_TRUE(retries.ok()) << retries.status().message();
+  EXPECT_EQ(*retries, 0u);
+  EXPECT_EQ(server.in_flight(), trace.requests.size());
+  server.Resume();
+  server.Drain();
+  EXPECT_EQ(server.counters().batches, ref.batches);
+  ExpectMatchesReference(server, ref, 42, 2, StreamSolver::kFgt);
+}
+
 TEST(ServeIdentityTest, TraceRoundTripsThroughCsv) {
   const CityWorkload city = GenerateCityWorkload(SmallCity(), 77);
   const ServeTrace trace = BuildServeTrace(city, 3, 7);

@@ -2,14 +2,15 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
+#include "datagen/city.h"
 #include "obs/metrics.h"
-#include "serve/queue.h"
+#include "serve/replay.h"
 #include "serve/request.h"
 #include "serve/server.h"
 #include "util/thread_pool.h"
@@ -118,12 +119,56 @@ TEST(ServeLifecycleTest, TypedRejections) {
   EXPECT_EQ(server.counters().answered, 3u);
 }
 
-/// One ValidateStreamEvent rule, broken in a request's worker (index 0) or
-/// task (index 1) event.
-struct InvalidEventCase {
-  const char* rule;
-  std::function<void(StreamEvent& worker, StreamEvent& task)> corrupt;
+/// The ValidateStreamEvent rules a request's worker (index 0) or task
+/// (index 1) event can break.
+enum class BrokenRule : uint64_t {
+  kNonFiniteTime,
+  kNonFiniteWorkerLocation,
+  kZeroMaxDp,
+  kNonFiniteDeparture,
+  kNonFiniteTaskLocation,
+  kNonFiniteReward,
+  kNegativeReward,
+  kNonFiniteServiceWindow,
+  kNonPositiveServiceWindow,
+  kNonFiniteQueueExpiry,
 };
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+void Break(BrokenRule rule, StreamEvent& worker, StreamEvent& task) {
+  switch (rule) {
+    case BrokenRule::kNonFiniteTime: task.time = kNan; return;
+    case BrokenRule::kNonFiniteWorkerLocation:
+      worker.worker.location.y = kInf;
+      return;
+    case BrokenRule::kZeroMaxDp: worker.worker.max_delivery_points = 0; return;
+    case BrokenRule::kNonFiniteDeparture: worker.departure = -kInf; return;
+    case BrokenRule::kNonFiniteTaskLocation: task.location.x = kNan; return;
+    case BrokenRule::kNonFiniteReward: task.reward = kNan; return;
+    case BrokenRule::kNegativeReward: task.reward = -1.0; return;
+    case BrokenRule::kNonFiniteServiceWindow:
+      task.service_window = kInf;
+      return;
+    case BrokenRule::kNonPositiveServiceWindow:
+      task.service_window = 0.0;
+      return;
+    case BrokenRule::kNonFiniteQueueExpiry: task.queue_expiry = kNan; return;
+  }
+}
+
+/// One case: a broken rule and the name its test runs under. Plain bytes,
+/// no pointers: gtest prints a parameter it has no printer for as its raw
+/// bytes, that dump is part of each discovered ctest name, and an address
+/// in it (a string literal, a std::function's code pointers) would give
+/// the case a new name on every run.
+struct InvalidEventCase {
+  char name[32];
+  BrokenRule rule;
+};
+static_assert(std::has_unique_object_representations_v<InvalidEventCase>,
+              "padding bytes would make the printed parameter vary");
 
 class InvalidRequestTest : public ::testing::TestWithParam<InvalidEventCase> {
 };
@@ -132,7 +177,7 @@ TEST_P(InvalidRequestTest, RejectedWithoutATrace) {
   ThreadPool pool(2);
   AssignmentServer server(TinyServer(16, true), TwoCenters(), &pool);
   ServeRequest bad = TaskRequest(0, 0, true);
-  GetParam().corrupt(bad.events[0], bad.events[1]);
+  Break(GetParam().rule, bad.events[0], bad.events[1]);
   EXPECT_EQ(server.Submit(std::move(bad)), AdmissionCode::kInvalidRequest);
   EXPECT_EQ(server.in_flight(), 0u);
   // Tick 0 is still open for admission: the rejection changed nothing.
@@ -146,54 +191,26 @@ TEST_P(InvalidRequestTest, RejectedWithoutATrace) {
   EXPECT_EQ(server.responses(0)[0].coalesced_requests, 1u);
 }
 
-constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
 INSTANTIATE_TEST_SUITE_P(
     Rules, InvalidRequestTest,
     ::testing::Values(
-        InvalidEventCase{"NonFiniteTime",
-                         [](StreamEvent&, StreamEvent& task) {
-                           task.time = kNan;
-                         }},
+        InvalidEventCase{"NonFiniteTime", BrokenRule::kNonFiniteTime},
         InvalidEventCase{"NonFiniteWorkerLocation",
-                         [](StreamEvent& worker, StreamEvent&) {
-                           worker.worker.location.y = kInf;
-                         }},
-        InvalidEventCase{"ZeroMaxDp",
-                         [](StreamEvent& worker, StreamEvent&) {
-                           worker.worker.max_delivery_points = 0;
-                         }},
-        InvalidEventCase{"NonFiniteDeparture",
-                         [](StreamEvent& worker, StreamEvent&) {
-                           worker.departure = -kInf;
-                         }},
+                         BrokenRule::kNonFiniteWorkerLocation},
+        InvalidEventCase{"ZeroMaxDp", BrokenRule::kZeroMaxDp},
+        InvalidEventCase{"NonFiniteDeparture", BrokenRule::kNonFiniteDeparture},
         InvalidEventCase{"NonFiniteTaskLocation",
-                         [](StreamEvent&, StreamEvent& task) {
-                           task.location.x = kNan;
-                         }},
-        InvalidEventCase{"NonFiniteReward",
-                         [](StreamEvent&, StreamEvent& task) {
-                           task.reward = kNan;
-                         }},
-        InvalidEventCase{"NegativeReward",
-                         [](StreamEvent&, StreamEvent& task) {
-                           task.reward = -1.0;
-                         }},
+                         BrokenRule::kNonFiniteTaskLocation},
+        InvalidEventCase{"NonFiniteReward", BrokenRule::kNonFiniteReward},
+        InvalidEventCase{"NegativeReward", BrokenRule::kNegativeReward},
         InvalidEventCase{"NonFiniteServiceWindow",
-                         [](StreamEvent&, StreamEvent& task) {
-                           task.service_window = kInf;
-                         }},
+                         BrokenRule::kNonFiniteServiceWindow},
         InvalidEventCase{"NonPositiveServiceWindow",
-                         [](StreamEvent&, StreamEvent& task) {
-                           task.service_window = 0.0;
-                         }},
+                         BrokenRule::kNonPositiveServiceWindow},
         InvalidEventCase{"NonFiniteQueueExpiry",
-                         [](StreamEvent&, StreamEvent& task) {
-                           task.queue_expiry = kNan;
-                         }}),
+                         BrokenRule::kNonFiniteQueueExpiry}),
     [](const ::testing::TestParamInfo<InvalidEventCase>& param) {
-      return std::string(param.param.rule);
+      return std::string(param.param.name);
     });
 
 TEST(ServeLifecycleTest, CallbackSeesEveryBatchInShardOrder) {
@@ -227,48 +244,20 @@ TEST(ServeLifecycleTest, DrainIsIdempotentAndImpliedByDestruction) {
   // Destructor drains again — must be a no-op, not a hang or double count.
 }
 
-TEST(ServeLifecycleTest, BoundedQueueCloseWakesPoppers) {
-  BoundedQueue<int> q(2);
-  EXPECT_EQ(q.TryPush(1), QueuePush::kOk);
-  EXPECT_EQ(q.TryPush(2), QueuePush::kOk);
-  EXPECT_EQ(q.TryPush(3), QueuePush::kFull);
-  q.Close();
-  EXPECT_EQ(q.TryPush(4), QueuePush::kClosed);
-  int v = 0;
-  EXPECT_TRUE(q.Pop(&v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(q.Pop(&v));
-  EXPECT_EQ(v, 2);
-  EXPECT_FALSE(q.Pop(&v));  // closed and drained: no block, no value
-}
-
-TEST(ServeLifecycleTest, UnboundedQueueNeverReportsFull) {
-  BoundedQueue<int> q(BoundedQueue<int>::kUnbounded);
-  EXPECT_EQ(q.capacity(), BoundedQueue<int>::kUnbounded);
-  for (int i = 0; i < 4096; ++i) ASSERT_EQ(q.TryPush(i), QueuePush::kOk);
-  int v = -1;
-  EXPECT_TRUE(q.Pop(&v));
-  EXPECT_EQ(v, 0);
-  q.Close();
-  EXPECT_EQ(q.TryPush(0), QueuePush::kClosed);
-}
-
-// Regression for the stale-token overflow: a runner drains every ready
-// batch of its shard under the FIRST token it pops, so the sibling
-// batches' tokens stay queued after those requests already left
-// in_flight_. When the token queue's capacity was tied to
-// queue_capacity, the admissions those freed slots allow would overflow
-// it and abort the process. Hammer that exact pattern — one runner, a
-// tiny admission bound, one hot center, retry-on-full — and require
-// every admitted request answered.
+// Admission accounting under a tiny bound: one runner, capacity 2, one hot
+// center, retry-on-full. Every answered batch frees its requests'
+// in-flight slots before the next admission can take them, and the
+// dispatch heap holds each center at most once however many of its
+// batches are sealed, so no structure outgrows the bound's accounting.
+// Every admitted request must be answered.
 TEST(ServeLifecycleTest, StaleTokensDoNotBreakAdmissionAccounting) {
   ThreadPool pool(1);
   ServerConfig config = TinyServer(/*queue_capacity=*/2, false);
   config.num_threads = 1;
   AssignmentServer server(config, TwoCenters(), &pool);
   uint64_t admitted = 0;
-  // 32 ticks: enough drain-all rounds to pile up stale tokens many times
-  // over, while the shard's accumulating instance stays cheap to solve.
+  // 32 ticks: many fill-and-free rounds of the bound, while the shard's
+  // accumulating instance stays cheap to solve.
   for (uint64_t tick = 0; tick < 32; ++tick) {
     AdmissionCode code;
     while ((code = server.Submit(TaskRequest(0, tick, true))) ==
@@ -287,8 +276,9 @@ TEST(ServeLifecycleTest, StaleTokensDoNotBreakAdmissionAccounting) {
 }
 
 // Submit racing Drain is a supported interleaving (kShuttingDown is a
-// legal answer): an admitted Submit pushes its token under admit_mu_, so
-// it can never observe the drain's queue Close(), and its request must
+// legal answer): Submit seals and schedules its batch under the same
+// admit_mu_ that Drain flips draining_ under, so an admitted request is
+// always in flight before the drain waits for in_flight_ == 0, and must
 // be answered.
 TEST(ServeLifecycleTest, SubmitDuringDrainIsAnsweredOrShed) {
   ThreadPool pool(2);
@@ -340,6 +330,41 @@ TEST(ServeLifecycleTest, PrometheusPageContainsShardWindows) {
   EXPECT_NE(page.find("serve_shard0_solve_ms"), std::string::npos);
   EXPECT_NE(page.find("serve_shard1_solve_ms"), std::string::npos);
   EXPECT_NE(page.find("fta_serve_admitted_total"), std::string::npos);
+  EXPECT_NE(page.find("fta_serve_wait_ms"), std::string::npos);
+}
+
+// The server's own stage clock: a batch's wait (seal to pickup) and its
+// tick run one after the other inside its latency (first admission to
+// response), all read from one steady clock, so the nesting is exact.
+TEST(ServeLifecycleTest, WaitAndTickNestInsideLatency) {
+  CityWorkloadConfig city;
+  city.num_centers = 3;
+  city.center_spacing = 8.0;
+  city.tick_period = 0.1;
+  city.ticks = 6;
+  city.base.tasks.base_rate_per_hour = 40.0;
+  city.base.worker_rate_per_hour = 15.0;
+  city.base.area_size = 6.0;
+  const CityWorkload workload = GenerateCityWorkload(city, 5);
+  const ServeTrace trace = BuildServeTrace(workload, 3, 5);
+  ThreadPool pool(2);
+  std::vector<CenterSpec> centers;
+  for (const Point& p : trace.centers) centers.push_back({p});
+  AssignmentServer server(TinyServer(16, false), std::move(centers), &pool);
+  StatusOr<uint64_t> retries = ReplayTrace(server, trace);
+  ASSERT_TRUE(retries.ok()) << retries.status().message();
+  server.Drain();
+  size_t checked = 0;
+  for (uint32_t c = 0; c < server.num_shards(); ++c) {
+    for (const ServeResponse& r : server.responses(c)) {
+      EXPECT_GE(r.wait_ms, 0.0);
+      EXPECT_LE(r.wait_ms + r.stats.tick_ms, r.latency_ms + 1e-6)
+          << "center " << c << " tick " << r.tick;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, server.counters().batches);
+  EXPECT_GT(checked, 0u);
 }
 
 }  // namespace

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
+#include "datagen/city.h"
 #include "serve/replay.h"
 #include "util/math_util.h"
 #include "util/status.h"
@@ -128,6 +130,43 @@ TEST(ServeTraceTest, RejectsMalformedRows) {
     EXPECT_EQ(trace.status().code(), StatusCode::kParseError);
     EXPECT_NE(trace.status().message().find(c.message), std::string::npos)
         << trace.status().message();
+  }
+}
+
+// An event at exactly t * period is due at tick t — the stream
+// dispatcher drains it there (time <= tick * period) — even where
+// t * period / period rounds above t (first at 3 * 0.1); the next double
+// up is due at t + 1.
+TEST(ServeTraceTest, TickBoundaryEventsLandInTheirTick) {
+  constexpr uint64_t kMaxTick = 2000;
+  for (const double period : {0.1, 0.05, 0.02}) {
+    SCOPED_TRACE(period);
+    CityWorkload city;
+    city.centers = {Point{0.0, 0.0}};
+    city.tick_period = period;
+    city.ticks = kMaxTick + 2;
+    city.events.resize(1);
+    // The reward carries the tick each event is due at.
+    for (uint64_t t = 1; t <= kMaxTick; ++t) {
+      StreamEvent at;
+      at.time = static_cast<double>(t) * period;
+      at.reward = static_cast<double>(t);
+      StreamEvent after = at;
+      after.time = std::nextafter(at.time, 1e9);
+      after.reward = static_cast<double>(t + 1);
+      city.events[0].push_back(at);
+      city.events[0].push_back(after);
+    }
+    const ServeTrace trace = BuildServeTrace(city, 1, 1);
+    size_t events = 0;
+    for (const ServeRequest& req : trace.requests) {
+      for (const StreamEvent& ev : req.events) {
+        ASSERT_EQ(ev.reward, static_cast<double>(req.tick))
+            << "event at " << ev.time;
+        ++events;
+      }
+    }
+    EXPECT_EQ(events, 2 * kMaxTick);
   }
 }
 
