@@ -8,9 +8,9 @@
 // gate (BENCH_obs.json), the payoff-ledger gate (BENCH_game.json) — which
 // fails the binary unless the ledger Evaluate path does zero steady-state
 // heap allocations and beats the OthersView rebuild path by >= 5x — and
-// the SIMD kernel gate (BENCH_simd.json), which requires the fused AVX2
-// batch kernel to beat the legacy per-candidate fold by >= 2x over the
-// same candidates at |W| >= 256 (report-only on hosts without AVX2).
+// the SIMD kernel gate (BENCH_simd.json), which requires the fused batch
+// kernel to beat the legacy per-candidate fold by >= 2x over the same
+// candidates at |W| >= 256.
 
 #include <benchmark/benchmark.h>
 
@@ -280,18 +280,6 @@ void BM_CounterAdd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CounterAdd);
-
-void BM_HistogramObserve(benchmark::State& state) {
-  obs::Histogram& hist = obs::MetricsRegistry::Global().GetHistogram(
-      "bench/hist_observe", obs::ExponentialBounds(0.25, 4.0, 8));
-  double value = 0.0;
-  for (auto _ : state) {
-    hist.Observe(value);
-    value += 0.5;
-    if (value > 4096.0) value = 0.0;
-  }
-}
-BENCHMARK(BM_HistogramObserve);
 
 }  // namespace
 
@@ -693,13 +681,13 @@ int RunGameLedgerGate(size_t num_workers) {
 }
 
 // SIMD kernel gate: proves the claims of the batched payoff kernels
-// (game/iau_kernels.h, util/simd.h) on a purpose-built instance whose
+// (game/iau_kernels.h, util/math_util.h) on a purpose-built instance whose
 // workers each have hundreds of available candidates. The engine runs at
 // alpha = beta = 1, where the IAU is not monotone in own payoff and
 // Evaluate takes the full-scan path through SortedIauBatchArgmax (at the
 // paper's alpha = beta = 0.5 the monotone early exit scores one or two
 // candidates, which would time the exit, not the kernel). Three hard
-// gates on AVX2 hosts:
+// gates:
 //
 //   1. Zero steady-state heap allocations on the engine's full-scan
 //      Evaluate path (the gather scratch and rank chunks are sized once).
@@ -713,8 +701,7 @@ int RunGameLedgerGate(size_t num_workers) {
 //      every worker (the baseline must be semantically the old path, not a
 //      strawman), and the kernel's argmax equals the fold's on every batch.
 //
-// Without AVX2 the same numbers are measured and written but the speedup
-// is report-only. Results go to BENCH_simd.json.
+// Results go to BENCH_simd.json.
 namespace {
 
 /// |W| workers and 2|W| single-task delivery points scattered near the
@@ -842,9 +829,6 @@ double TimeBatchSweeps(const std::vector<KernelBatch>& batches,
 }  // namespace
 
 int RunSimdKernelGate(size_t num_workers) {
-  const simd::SimdMode entry_mode = simd::ActiveSimdMode();
-  const bool avx2 = simd::CpuSupportsAvx2();
-
   const Instance inst = SimdGateInstance(num_workers);
   VdpsConfig vdps;
   vdps.max_set_size = 1;
@@ -925,10 +909,8 @@ int RunSimdKernelGate(size_t num_workers) {
   const uint64_t batch_calls =
       static_cast<uint64_t>(kSweeps) * batches.size();
 
-  // Steady-state allocation count of the engine's full-scan Evaluate on
-  // the dispatch mode the speedup claim is about (AVX2 where available),
+  // Steady-state allocation count of the engine's full-scan Evaluate,
   // after a warm-up sweep.
-  if (avx2) simd::SetSimdMode(simd::SimdMode::kAvx2);
   TimeEvaluateSweeps(engine, num_workers, 1, 1);
   const uint64_t before =
       g_heap_allocations.load(std::memory_order_relaxed);
@@ -938,26 +920,15 @@ int RunSimdKernelGate(size_t num_workers) {
 
   TimeBatchSweeps(batches, params, KernelArgmax, 1, 1);
   TimeBatchSweeps(batches, params, LegacyFoldArgmax, 1, 1);
-  double avx2_seconds = 0.0;
-  if (avx2) {
-    avx2_seconds =
-        TimeBatchSweeps(batches, params, KernelArgmax, kSweeps, kReps);
-  }
-  simd::SetSimdMode(simd::SimdMode::kScalar);
   const double scalar_seconds =
       TimeBatchSweeps(batches, params, KernelArgmax, kSweeps, kReps);
-  simd::SetSimdMode(entry_mode);
   const double legacy_seconds =
       TimeBatchSweeps(batches, params, LegacyFoldArgmax, kSweeps, kReps);
-
-  const double active_seconds = avx2 ? avx2_seconds : scalar_seconds;
-  const double speedup = legacy_seconds / active_seconds;
-  const double speedup_scalar = legacy_seconds / scalar_seconds;
+  const double speedup = legacy_seconds / scalar_seconds;
 
   constexpr double kSpeedupThreshold = 2.0;
   const bool zero_alloc_pass = engine_allocs == 0;
-  const bool report_only = !avx2;
-  const bool speedup_pass = report_only || speedup >= kSpeedupThreshold;
+  const bool speedup_pass = speedup >= kSpeedupThreshold;
   const bool pass = zero_alloc_pass && replica_agrees && speedup_pass;
 
   const double per_call = 1e9 / static_cast<double>(batch_calls);
@@ -981,11 +952,6 @@ int RunSimdKernelGate(size_t num_workers) {
   json.Double(lanes_per_evaluate);
   json.Key("batch_calls");
   json.UInt(batch_calls);
-  json.Key("avx2_supported");
-  json.Bool(avx2);
-  json.Key("dispatch");
-  json.String(simd::SimdModeName(avx2 ? simd::SimdMode::kAvx2
-                                      : simd::SimdMode::kScalar));
   json.Key("legacy_fold");
   json.BeginObject();
   json.Key("seconds");
@@ -1000,21 +966,10 @@ int RunSimdKernelGate(size_t num_workers) {
   json.Key("ns_per_batch");
   json.Double(scalar_seconds * per_call);
   json.EndObject();
-  if (avx2) {
-    json.Key("avx2_batch");
-    json.BeginObject();
-    json.Key("seconds");
-    json.Double(avx2_seconds);
-    json.Key("ns_per_batch");
-    json.Double(avx2_seconds * per_call);
-    json.EndObject();
-  }
   json.Key("steady_state_allocations");
   json.UInt(engine_allocs);
   json.Key("speedup");
   json.Double(speedup);
-  json.Key("speedup_scalar_batch");
-  json.Double(speedup_scalar);
   json.Key("speedup_threshold");
   json.Double(kSpeedupThreshold);
   json.Key("zero_alloc_pass");
@@ -1023,8 +978,6 @@ int RunSimdKernelGate(size_t num_workers) {
   json.Bool(replica_agrees);
   json.Key("speedup_pass");
   json.Bool(speedup_pass);
-  json.Key("report_only");
-  json.Bool(report_only);
   json.Key("pass");
   json.Bool(pass);
   json.EndObject();
@@ -1035,15 +988,13 @@ int RunSimdKernelGate(size_t num_workers) {
 
   std::printf(
       "simd kernel gate (|W|=%zu, alpha=beta=1, %.0f lanes/Evaluate): "
-      "legacy fold %.1f ns/batch, scalar batch %.1f ns/batch, %s %.1f "
-      "ns/batch (Evaluate %llu allocs) -> %.2fx (>= %.1fx%s, 0 allocs, "
-      "replica %s: %s); wrote %s\n",
+      "legacy fold %.1f ns/batch, scalar batch %.1f ns/batch "
+      "(Evaluate %llu allocs) -> %.2fx (>= %.1fx, 0 allocs, replica %s: "
+      "%s); wrote %s\n",
       num_workers, lanes_per_evaluate, legacy_seconds * per_call,
       scalar_seconds * per_call,
-      avx2 ? "avx2 batch" : "no avx2; scalar", active_seconds * per_call,
       static_cast<unsigned long long>(engine_allocs), speedup,
-      kSpeedupThreshold, report_only ? " report-only" : "",
-      replica_agrees ? "agrees" : "DISAGREES",
+      kSpeedupThreshold, replica_agrees ? "agrees" : "DISAGREES",
       pass ? "PASS" : "FAIL", path.c_str());
   if (!pass) {
     std::fprintf(stderr,

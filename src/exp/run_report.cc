@@ -20,8 +20,6 @@ void AppendEngine(obs::JsonWriter& w, const BestResponseCounters& e) {
   w.UInt(e.simd_batches);
   w.Key("lanes");
   w.UInt(e.simd_lanes);
-  w.Key("avx2_batches");
-  w.UInt(e.simd_avx2_batches);
   w.EndObject();
   w.Key("ledger");
   w.BeginObject();

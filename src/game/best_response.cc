@@ -6,7 +6,6 @@
 #include "game/iau_kernels.h"
 #include "obs/trace.h"
 #include "util/math_util.h"
-#include "util/simd.h"
 #include "vdps/catalog.h"
 
 namespace fta {
@@ -108,7 +107,6 @@ BestResponseOutcome BestResponseEngine::EvaluateWithView(size_t w,
   // total order, so folding a batch's own maximum first cannot change it.
   const size_t n = state_->catalog().strategies(w).size();
   const double* payoffs = state_->catalog().strategy_payoffs(w).data();
-  const bool avx2 = simd::ActiveSimdMode() == simd::SimdMode::kAvx2;
   auto band_at = [&](double reference) {
     return SortedIauMonotoneBand(view.sorted_values(), view.size(),
                                  view.prefix_sums(), params_, reference);
@@ -149,7 +147,6 @@ BestResponseOutcome BestResponseEngine::EvaluateWithView(size_t w,
         scratch.owns.data(), cnt, &best_u);
     ++counters.simd_batches;
     counters.simd_lanes += cnt;
-    if (avx2) ++counters.simd_avx2_batches;
     cand = Better(cand, Candidate{best_u, scratch.indices[pos], true});
   };
 

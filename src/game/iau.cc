@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "util/simd.h"
+#include "util/math_util.h"
 
 namespace fta {
 
@@ -47,10 +47,10 @@ OthersView::OthersView(std::vector<double> others)
     : sorted_(std::move(others)) {
   std::sort(sorted_.begin(), sorted_.end());
   prefix_.resize(sorted_.size() + 1, 0.0);
-  // Canonical blocked accumulation (util/simd.h) — the same order
+  // Canonical blocked accumulation (util/math_util.h) — the same order
   // PayoffLedger::Exclude uses, so ledger and rebuild views stay
-  // bit-identical, and the same order on scalar and AVX2 dispatch.
-  simd::BlockedPrefixSum(sorted_.data(), sorted_.size(), prefix_.data());
+  // bit-identical.
+  BlockedPrefixSum(sorted_.data(), sorted_.size(), prefix_.data());
 }
 
 double OthersView::Mp(double own) const {

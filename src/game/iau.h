@@ -18,8 +18,8 @@ struct IauParams {
 /// workers' payoffs), directly from Equations 5-7. O(|others|).
 ///
 /// TEST ORACLE ONLY. Production code evaluates through SortedIau /
-/// SortedIauBatch (one shared kernel instance, bit-identical across the
-/// ledger, rebuild, scalar, and AVX2 paths); this naive transliteration of
+/// SortedIauBatchArgmax (one shared expression tree, bit-identical across
+/// the ledger and rebuild views); this naive transliteration of
 /// the paper's equations survives as the independent cross-check in
 /// game_test / payoff_ledger_test / property_test and the BM_IauNaive
 /// baseline. Its accumulation order differs from the sorted kernels', so
@@ -58,8 +58,8 @@ class OthersView {
   double Iau(double own, const IauParams& params) const;
 
   /// Raw ascending values / prefix sums (size() and size() + 1 elements) —
-  /// the inputs SortedIauBatch streams for the engine's batched candidate
-  /// scan.
+  /// the inputs SortedIauBatchArgmax streams for the engine's batched
+  /// candidate scan.
   const double* sorted_values() const { return sorted_.data(); }
   const double* prefix_sums() const { return prefix_.data(); }
 

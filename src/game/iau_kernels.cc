@@ -4,23 +4,19 @@
 #include <cmath>
 #include <limits>
 
-#include "util/simd.h"
-
 namespace fta {
 
-namespace iau_internal {
-
-void CountLessBatchScalar(const double* values, size_t n, const double* owns,
-                          size_t count, uint32_t* out_counts) {
+void CountLessBatch(const double* values, size_t n, const double* owns,
+                    size_t count, uint32_t* out_counts) {
   for (size_t j = 0; j < count; ++j) {
     const double* it = std::lower_bound(values, values + n, owns[j]);
     out_counts[j] = static_cast<uint32_t>(it - values);
   }
 }
 
-void CountLessBatchSortedDescScalar(const double* values, size_t n,
-                                    const double* owns, size_t count,
-                                    uint32_t* out_counts) {
+void CountLessBatchSortedDesc(const double* values, size_t n,
+                              const double* owns, size_t count,
+                              uint32_t* out_counts) {
   // Owns descending => walking them in reverse is ascending, and each
   // own's rank continues where the previous one stopped: the advance halts
   // at the first !(value < own), which is exactly the lower_bound index.
@@ -29,73 +25,6 @@ void CountLessBatchSortedDescScalar(const double* values, size_t n,
     const double own = owns[j];
     while (p < n && values[p] < own) ++p;
     out_counts[j] = static_cast<uint32_t>(p);
-  }
-}
-
-}  // namespace iau_internal
-
-void CountLessBatch(const double* values, size_t n, const double* owns,
-                    size_t count, uint32_t* out_counts) {
-#ifdef FTA_SIMD_AVX2
-  if (simd::ActiveSimdMode() == simd::SimdMode::kAvx2) {
-    iau_internal::CountLessBatchAvx2(values, n, owns, count, out_counts);
-    return;
-  }
-#endif
-  iau_internal::CountLessBatchScalar(values, n, owns, count, out_counts);
-}
-
-void CountLessBatchSortedDesc(const double* values, size_t n,
-                              const double* owns, size_t count,
-                              uint32_t* out_counts) {
-#ifdef FTA_SIMD_AVX2
-  if (simd::ActiveSimdMode() == simd::SimdMode::kAvx2) {
-    iau_internal::CountLessBatchSortedDescAvx2(values, n, owns, count,
-                                               out_counts);
-    return;
-  }
-#endif
-  iau_internal::CountLessBatchSortedDescScalar(values, n, owns, count,
-                                               out_counts);
-}
-
-void SortedIauBatch(const double* values, size_t n, const double* prefix,
-                    const IauParams& params, const double* owns, size_t count,
-                    double* out) {
-  if (n == 0) {
-    // SortedIau(own) with no others is `own` exactly.
-    std::copy(owns, owns + count, out);
-    return;
-  }
-  // The engine's batches arrive in the catalog's payoff-descending order,
-  // which unlocks the O(n + count) merge ranks; a NaN anywhere fails the
-  // `<=` chain and falls back to the generic per-own kernel (either path
-  // produces the identical exact counts — this is purely a cost choice).
-  const bool descending = iau_internal::IsNonIncreasing(owns, count);
-  const double m = static_cast<double>(n);
-  const double alpha_m = params.alpha / m;
-  const double beta_m = params.beta / m;
-  const double total = prefix[n];
-  // Fixed-size rank scratch keeps the batch allocation-free at any count.
-  constexpr size_t kChunk = 128;
-  uint32_t counts[kChunk];
-  for (size_t base = 0; base < count; base += kChunk) {
-    const size_t c = std::min(kChunk, count - base);
-    if (descending) {
-      CountLessBatchSortedDesc(values, n, owns + base, c, counts);
-    } else {
-      CountLessBatch(values, n, owns + base, c, counts);
-    }
-    for (size_t j = 0; j < c; ++j) {
-      // The exact expression tree of SortedMp/SortedLp/SortedIau
-      // (game/iau.cc), per lane — same ranks, same arithmetic, same bits.
-      const double own = owns[base + j];
-      const size_t k = counts[j];
-      const double above = static_cast<double>(n - k);
-      const double mp = (total - prefix[k]) - above * own;
-      const double lp = static_cast<double>(k) * own - prefix[k];
-      out[base + j] = own - alpha_m * mp - beta_m * lp;
-    }
   }
 }
 
@@ -112,19 +41,20 @@ size_t SortedIauBatchArgmax(const double* values, size_t n,
     *best_utility = owns[best];
     return best;
   }
+  // The engine's batches arrive in the catalog's payoff-descending order,
+  // which unlocks the O(n + count) merge ranks; a NaN anywhere fails the
+  // `<=` chain and falls back to the per-own kernel (both produce the
+  // identical exact counts — this is purely a cost choice).
   const bool descending = iau_internal::IsNonIncreasing(owns, count);
   const double m = static_cast<double>(n);
   const double alpha_m = params.alpha / m;
   const double beta_m = params.beta / m;
   const double total = prefix[n];
-#ifdef FTA_SIMD_AVX2
-  const bool avx2 = simd::ActiveSimdMode() == simd::SimdMode::kAvx2;
-#endif
+  // Fixed-size rank scratch keeps the batch allocation-free at any count.
   constexpr size_t kChunk = 128;
   uint32_t counts[kChunk];
   double best_u = 0.0;
   size_t best_pos = 0;
-  bool have = false;
   for (size_t base = 0; base < count; base += kChunk) {
     const size_t c = std::min(kChunk, count - base);
     if (descending) {
@@ -132,37 +62,21 @@ size_t SortedIauBatchArgmax(const double* values, size_t n,
     } else {
       CountLessBatch(values, n, owns + base, c, counts);
     }
-    // Chunk-local earliest max, then a strictly-greater combine across
-    // chunks: equal utilities keep the earlier chunk, so the result is the
-    // global earliest maximum — the sequential fold's winner.
-    double chunk_u = 0.0;
-    size_t chunk_pos = 0;
-#ifdef FTA_SIMD_AVX2
-    if (avx2) {
-      chunk_pos = iau_internal::SortedIauChunkArgmaxAvx2(
-          prefix, total, m, alpha_m, beta_m, owns + base, counts, c,
-          &chunk_u);
-    } else
-#endif
-    {
-      for (size_t j = 0; j < c; ++j) {
-        // The exact per-lane tree of SortedIauBatch above.
-        const double own = owns[base + j];
-        const size_t k = counts[j];
-        const double above = static_cast<double>(n - k);
-        const double mp = (total - prefix[k]) - above * own;
-        const double lp = static_cast<double>(k) * own - prefix[k];
-        const double u = own - alpha_m * mp - beta_m * lp;
-        if (j == 0 || u > chunk_u) {
-          chunk_u = u;
-          chunk_pos = j;
-        }
+    for (size_t j = 0; j < c; ++j) {
+      // The exact expression tree of SortedMp/SortedLp/SortedIau
+      // (game/iau.cc), per lane — same ranks, same arithmetic, same bits.
+      const double own = owns[base + j];
+      const size_t k = counts[j];
+      const double above = static_cast<double>(n - k);
+      const double mp = (total - prefix[k]) - above * own;
+      const double lp = static_cast<double>(k) * own - prefix[k];
+      const double u = own - alpha_m * mp - beta_m * lp;
+      // Strictly greater only: equal utilities keep the earlier position,
+      // the sequential fold's winner.
+      if ((base == 0 && j == 0) || u > best_u) {
+        best_u = u;
+        best_pos = base + j;
       }
-    }
-    if (!have || chunk_u > best_u) {
-      best_u = chunk_u;
-      best_pos = base + chunk_pos;
-      have = true;
     }
   }
   *best_utility = best_u;

@@ -6,7 +6,6 @@
 
 #include "game/potential.h"
 #include "util/math_util.h"
-#include "util/simd.h"
 #include "util/string_util.h"
 
 namespace fta {
@@ -93,9 +92,8 @@ const LedgerView& PayoffLedger::Exclude(size_t w) {
     std::memcpy(out + p, sorted_.data() + p + 1, (n - 1 - p) * sizeof(double));
   }
   // Exactly OthersView's accumulation over exactly its sorted sequence:
-  // the canonical blocked prefix kernel (util/simd.h), bit-identical on
-  // scalar and AVX2 dispatch.
-  simd::BlockedPrefixSum(out, n == 0 ? 0 : n - 1, scratch_.prefix_.data());
+  // the canonical blocked prefix sums (util/math_util.h).
+  BlockedPrefixSum(out, n == 0 ? 0 : n - 1, scratch_.prefix_.data());
   ++counters_.sorts_eliminated;
   ++counters_.scratch_reuses;
   // The rebuild path allocates the (n-1)-element `others` vector and the

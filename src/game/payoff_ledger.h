@@ -68,8 +68,8 @@ class LedgerView {
   }
 
   /// Raw ascending values / prefix sums (size() and size() + 1 elements) —
-  /// the inputs SortedIauBatch streams for the engine's batched candidate
-  /// scan.
+  /// the inputs SortedIauBatchArgmax streams for the engine's batched
+  /// candidate scan.
   const double* sorted_values() const { return values_.data(); }
   const double* prefix_sums() const { return prefix_.data(); }
   // FTA_HOT_END(ledger-view)
@@ -93,8 +93,8 @@ class LedgerView {
 /// Bit-identity: Exclude(w) materializes *the same ascending value
 /// sequence* std::sort produces from the other workers' payoffs, and the
 /// prefix sums follow the canonical blocked accumulation order over that
-/// sequence exactly as OthersView does (util/simd.h — identical on scalar
-/// and AVX2 dispatch), so every Mp/Lp/IAU result — and therefore every
+/// sequence exactly as OthersView does (BlockedPrefixSum in
+/// util/math_util.h), so every Mp/Lp/IAU result — and therefore every
 /// chosen strategy — matches the rebuild path bit for bit
 /// (tests/game_ledger_identity_test.cc pins this across seeds and thread
 /// counts). The sorted array also serves the round metrics sort-free:

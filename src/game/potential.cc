@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "util/math_util.h"
-#include "util/simd.h"
 
 namespace fta {
 
@@ -42,7 +41,7 @@ double PaperPotential(const std::vector<double>& payoffs,
   std::vector<double> sorted = payoffs;
   std::sort(sorted.begin(), sorted.end());
   std::vector<double> prefix(n + 1, 0.0);
-  simd::BlockedPrefixSum(sorted.data(), n, prefix.data());
+  BlockedPrefixSum(sorted.data(), n, prefix.data());
   const double total = prefix[n];
   const double m = static_cast<double>(n - 1);
   const double alpha_m = params.alpha / m;

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "obs/metrics.h"
-#include "util/simd.h"
 
 namespace fta {
 
@@ -21,9 +20,8 @@ void PublishGameRun(const char* solver, const GameResult& result) {
     reg.GetCounter(prefix + "/early_stopped").Increment();
   }
   // Round count as a distribution: observations are exact small integers,
-  // so the histogram is as deterministic as the solve itself.
-  reg.GetHistogram(prefix + "/rounds_dist",
-                   obs::ExponentialBounds(1.0, 2.0, 8))
+  // so the sketch is as deterministic as the solve itself.
+  reg.GetSketch(prefix + "/rounds_dist", 0.01)
       .Observe(static_cast<double>(result.rounds));
   // Engine work is shared across solvers on purpose: the Figure-12 benches
   // compare total scan traffic regardless of which loop drove it.
@@ -31,18 +29,11 @@ void PublishGameRun(const char* solver, const GameResult& result) {
       .Add(result.engine.strategies_scanned);
   reg.GetCounter("game/engine/parallel_batches")
       .Add(result.engine.parallel_batches);
-  // Batched-kernel traffic (game/iau_kernels.h): how many SortedIauBatch
-  // calls the candidate scans issued, how many candidate utilities they
-  // produced, and which dispatch path served them — avx2_batches is 0 on a
-  // scalar host or forced-scalar run, so dashboards can tell at a glance
-  // which kernels produced a run's numbers.
+  // Batched-kernel traffic (game/iau_kernels.h): how many
+  // SortedIauBatchArgmax calls the candidate scans issued and how many
+  // candidate utilities they produced.
   reg.GetCounter("game/simd/batches").Add(result.engine.simd_batches);
   reg.GetCounter("game/simd/lanes").Add(result.engine.simd_lanes);
-  reg.GetCounter("game/simd/avx2_batches")
-      .Add(result.engine.simd_avx2_batches);
-  reg.GetCounter(std::string("game/simd/dispatch_") +
-                 simd::SimdModeName(simd::ActiveSimdMode()))
-      .Increment();
   // Payoff-ledger savings (game/payoff_ledger.h): what the OthersView
   // rebuild path would have cost, measured rather than estimated.
   reg.GetCounter("game/ledger/sorts_eliminated")

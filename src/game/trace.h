@@ -22,15 +22,11 @@ struct BestResponseCounters {
   uint64_t cache_skips = 0;
   /// Candidate fan-outs that ran on the thread pool.
   uint64_t parallel_batches = 0;
-  /// SortedIauBatch calls issued by the candidate scan (one per gathered
-  /// availability batch; see game/iau_kernels.h).
+  /// SortedIauBatchArgmax calls issued by the candidate scan (one per
+  /// gathered availability batch; see game/iau_kernels.h).
   uint64_t simd_batches = 0;
   /// Candidate utilities produced by those batches (lanes).
   uint64_t simd_lanes = 0;
-  /// Subset of simd_batches dispatched to the AVX2 kernels — 0 on a scalar
-  /// host / forced-scalar run, == simd_batches under AVX2 dispatch, so
-  /// benches record which path produced their numbers.
-  uint64_t simd_avx2_batches = 0;
   /// Sorted-payoff-ledger savings (sorts and allocations the rebuild path
   /// would have paid; see game/payoff_ledger.h).
   LedgerCounters ledger;
@@ -40,7 +36,6 @@ struct BestResponseCounters {
     parallel_batches += o.parallel_batches;
     simd_batches += o.simd_batches;
     simd_lanes += o.simd_lanes;
-    simd_avx2_batches += o.simd_avx2_batches;
     ledger += o.ledger;
     return *this;
   }
@@ -50,7 +45,6 @@ struct BestResponseCounters {
     a.parallel_batches -= b.parallel_batches;
     a.simd_batches -= b.simd_batches;
     a.simd_lanes -= b.simd_lanes;
-    a.simd_avx2_batches -= b.simd_avx2_batches;
     a.ledger = a.ledger - b.ledger;
     return a;
   }

@@ -1,11 +1,9 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cmath>
 #include <thread>
 
 #include "obs/json.h"
-#include "util/logging.h"
 
 namespace fta {
 namespace obs {
@@ -27,79 +25,6 @@ uint64_t Counter::Value() const {
 
 void Counter::Reset() {
   for (Cell& cell : cells_) cell.v.store(0, std::memory_order_relaxed);
-}
-
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)), cells_(kMetricCells) {
-  FTA_CHECK_MSG(std::is_sorted(bounds_.begin(), bounds_.end()),
-                "histogram bounds must be ascending");
-  for (Cell& cell : cells_) {
-    cell.buckets = std::vector<std::atomic<uint64_t>>(bounds_.size() + 1);
-  }
-}
-
-void Histogram::Observe(double value) {
-  const size_t bucket =
-      static_cast<size_t>(std::upper_bound(bounds_.begin(), bounds_.end(),
-                                           value) -
-                          bounds_.begin());
-  // upper_bound gives the first bound > value; a value exactly on a bound
-  // must land in that bound's bucket (<= semantics), so step back when the
-  // previous bound equals the value.
-  const size_t le_bucket =
-      (bucket > 0 && bounds_[bucket - 1] == value) ? bucket - 1 : bucket;
-  Cell& cell = cells_[ThisThreadCell()];
-  cell.buckets[le_bucket].fetch_add(1, std::memory_order_relaxed);
-  cell.count.fetch_add(1, std::memory_order_relaxed);
-  cell.sum_micros.fetch_add(static_cast<int64_t>(std::llround(value * 1e6)),
-                            std::memory_order_relaxed);
-}
-
-std::vector<uint64_t> Histogram::BucketCounts() const {
-  std::vector<uint64_t> out(bounds_.size() + 1, 0);
-  for (const Cell& cell : cells_) {
-    for (size_t b = 0; b < out.size(); ++b) {
-      out[b] += cell.buckets[b].load(std::memory_order_relaxed);
-    }
-  }
-  return out;
-}
-
-uint64_t Histogram::TotalCount() const {
-  uint64_t total = 0;
-  for (const Cell& cell : cells_) {
-    total += cell.count.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-double Histogram::Sum() const {
-  int64_t micros = 0;
-  for (const Cell& cell : cells_) {
-    micros += cell.sum_micros.load(std::memory_order_relaxed);
-  }
-  return static_cast<double>(micros) * 1e-6;
-}
-
-void Histogram::Reset() {
-  for (Cell& cell : cells_) {
-    for (auto& b : cell.buckets) b.store(0, std::memory_order_relaxed);
-    cell.count.store(0, std::memory_order_relaxed);
-    cell.sum_micros.store(0, std::memory_order_relaxed);
-  }
-}
-
-std::vector<double> ExponentialBounds(double start, double factor,
-                                      size_t count) {
-  FTA_CHECK_MSG(start > 0 && factor > 1.0, "bad exponential bucket spec");
-  std::vector<double> bounds;
-  bounds.reserve(count);
-  double b = start;
-  for (size_t i = 0; i < count; ++i) {
-    bounds.push_back(b);
-    b *= factor;
-  }
-  return bounds;
 }
 
 const MetricReading* MetricsSnapshot::Find(std::string_view name) const {
@@ -140,22 +65,6 @@ void MetricsSnapshot::AppendTo(JsonWriter& w) const {
         w.String("gauge");
         w.Key("value");
         w.Double(m.gauge);
-        break;
-      case MetricReading::Kind::kHistogram:
-        w.Key("kind");
-        w.String("histogram");
-        w.Key("bounds");
-        w.BeginArray();
-        for (double b : m.bounds) w.Double(b);
-        w.EndArray();
-        w.Key("buckets");
-        w.BeginArray();
-        for (uint64_t c : m.bucket_counts) w.UInt(c);
-        w.EndArray();
-        w.Key("count");
-        w.UInt(m.count);
-        w.Key("sum");
-        w.Double(m.sum);
         break;
       case MetricReading::Kind::kSketch:
         w.Key("kind");
@@ -209,14 +118,6 @@ Gauge& MetricsRegistry::GetGauge(const std::string& name) {
   return *slot;
 }
 
-Histogram& MetricsRegistry::GetHistogram(const std::string& name,
-                                         const std::vector<double>& bounds) {
-  MutexLock lock(&mu_);
-  std::unique_ptr<Histogram>& slot = histograms_[name];
-  if (slot == nullptr) slot.reset(new Histogram(bounds));
-  return *slot;
-}
-
 QuantileSketch& MetricsRegistry::GetSketch(const std::string& name,
                                            double relative_accuracy) {
   MutexLock lock(&mu_);
@@ -229,7 +130,7 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   MutexLock lock(&mu_);
   MetricsSnapshot snapshot;
   snapshot.metrics.reserve(counters_.size() + gauges_.size() +
-                           histograms_.size() + sketches_.size());
+                           sketches_.size());
   // One name-ordered pass per kind, then a final merge by name so the
   // snapshot order is a pure function of the metric names.
   for (const auto& [name, counter] : counters_) {
@@ -244,16 +145,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     m.name = name;
     m.kind = MetricReading::Kind::kGauge;
     m.gauge = gauge->Value();
-    snapshot.metrics.push_back(std::move(m));
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    MetricReading m;
-    m.name = name;
-    m.kind = MetricReading::Kind::kHistogram;
-    m.bounds = histogram->bounds();
-    m.bucket_counts = histogram->BucketCounts();
-    m.count = histogram->TotalCount();
-    m.sum = histogram->Sum();
     snapshot.metrics.push_back(std::move(m));
   }
   for (const auto& [name, sketch] : sketches_) {
@@ -276,7 +167,6 @@ void MetricsRegistry::Reset() {
   MutexLock lock(&mu_);
   for (auto& [name, counter] : counters_) counter->Reset();
   for (auto& [name, gauge] : gauges_) gauge->Reset();
-  for (auto& [name, histogram] : histograms_) histogram->Reset();
   for (auto& [name, sketch] : sketches_) sketch->Reset();
 }
 

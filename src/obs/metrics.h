@@ -17,18 +17,19 @@ namespace obs {
 
 class JsonWriter;
 
-/// Process-wide metrics registry: named counters, gauges, and fixed-bucket
-/// histograms.
+/// Process-wide metrics registry: named counters, gauges, and quantile
+/// sketches (obs/sketch.h).
 ///
-/// Write path: every counter/histogram spreads its updates over a fixed set
-/// of cache-line-padded atomic cells; a thread picks its cell once (hash of
-/// its id) and then increments lock-free with relaxed ordering. There is no
-/// per-update locking and no false sharing between pool workers.
+/// Write path: every counter and sketch spreads its updates over a fixed
+/// set of cache-line-padded atomic cells; a thread picks its cell once
+/// (hash of its id) and then increments lock-free with relaxed ordering.
+/// There is no per-update locking and no false sharing between pool
+/// workers.
 ///
 /// Read path: Snapshot() folds the cells with unsigned-integer addition —
 /// commutative AND associative, so the merged reading is exactly the same
 /// no matter how observations were spread over threads or in what order
-/// cells are folded. To keep that guarantee, histograms accumulate their
+/// cells are folded. To keep that guarantee, sketches accumulate their
 /// value sum in integral micro-units (value * 1e6, rounded per
 /// observation) rather than floating point: double addition is not
 /// associative, micro-unit addition is. Count-like metrics driven by a
@@ -82,55 +83,17 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Fixed-boundary histogram. Bucket i counts observations with
-/// value <= bounds[i] (first matching bucket); one implicit overflow bucket
-/// catches everything above the last bound. The value sum is kept in
-/// micro-units so merges stay order-invariant (see file comment).
-class Histogram {
- public:
-  void Observe(double value);
-
-  /// bounds().size() + 1 entries; the last is the overflow bucket.
-  std::vector<uint64_t> BucketCounts() const;
-  const std::vector<double>& bounds() const { return bounds_; }
-  uint64_t TotalCount() const;
-  /// Sum of observed values (micro-unit precision).
-  double Sum() const;
-  void Reset();
-
- private:
-  friend class MetricsRegistry;
-  explicit Histogram(std::vector<double> bounds);
-
-  struct alignas(64) Cell {
-    std::vector<std::atomic<uint64_t>> buckets;
-    std::atomic<uint64_t> count{0};
-    std::atomic<int64_t> sum_micros{0};
-  };
-
-  std::vector<double> bounds_;  // ascending, strictly increasing
-  std::vector<Cell> cells_;     // kMetricCells entries
-};
-
-/// Standard exponential bucket boundaries: start, start*factor, ... (count
-/// bounds). The usual choice for millisecond timings.
-std::vector<double> ExponentialBounds(double start, double factor,
-                                      size_t count);
-
 /// Point-in-time reading of one metric.
 struct MetricReading {
-  enum class Kind { kCounter, kGauge, kHistogram, kSketch };
+  enum class Kind { kCounter, kGauge, kSketch };
   std::string name;
   Kind kind = Kind::kCounter;
   uint64_t counter = 0;  // kCounter
   double gauge = 0.0;    // kGauge
-  // kHistogram:
-  std::vector<double> bounds;
-  std::vector<uint64_t> bucket_counts;
+  // kSketch: the merged sketch; count and sum mirror it for uniform access,
+  // quantiles read via sketch.ValueAtQuantile.
   uint64_t count = 0;
   double sum = 0.0;
-  // kSketch: the merged sketch (count/sum above mirror it for uniform
-  // access; quantiles read via sketch.ValueAtQuantile).
   SketchData sketch;
 
   bool operator==(const MetricReading&) const = default;
@@ -147,7 +110,7 @@ struct MetricsSnapshot {
   /// Emits the same object into an in-progress document (after Key()).
   void AppendTo(JsonWriter& w) const;
   /// The counter subset (the deterministic readings; timing-valued gauges
-  /// and histograms are excluded). Used by determinism tests.
+  /// and sketches are excluded). Used by determinism tests.
   std::vector<MetricReading> Counters() const;
 };
 
@@ -157,15 +120,11 @@ class MetricsRegistry {
   static MetricsRegistry& Global();
 
   /// Finds or creates. The returned reference lives until process exit;
-  /// hot paths should cache it. Re-registering an existing histogram name
-  /// ignores the new bounds (first registration wins; pinned by
-  /// MetricsTest.HistogramReRegistrationKeepsFirstBounds). Sketches follow
-  /// the same rule for their relative accuracy.
+  /// hot paths should cache it. Re-registering an existing sketch name
+  /// ignores the new relative accuracy (first registration wins; pinned by
+  /// MetricsTest.SketchReRegistrationKeepsFirstAccuracy).
   Counter& GetCounter(const std::string& name) FTA_EXCLUDES(mu_);
   Gauge& GetGauge(const std::string& name) FTA_EXCLUDES(mu_);
-  Histogram& GetHistogram(const std::string& name,
-                          const std::vector<double>& bounds)
-      FTA_EXCLUDES(mu_);
   QuantileSketch& GetSketch(const std::string& name,
                             double relative_accuracy = 0.01)
       FTA_EXCLUDES(mu_);
@@ -190,8 +149,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_
       FTA_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>> gauges_ FTA_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_
-      FTA_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<QuantileSketch>> sketches_
       FTA_GUARDED_BY(mu_);
 };

@@ -91,20 +91,6 @@ std::string ToPrometheusText(const MetricsSnapshot& snapshot) {
         AppendSample(out, name, "", m.gauge);
         break;
       }
-      case MetricReading::Kind::kHistogram: {
-        AppendType(out, name, "histogram");
-        uint64_t cumulative = 0;
-        for (size_t b = 0; b < m.bounds.size(); ++b) {
-          cumulative += m.bucket_counts[b];
-          AppendSample(out, name + "_bucket",
-                       "le=\"" + FormatDouble(m.bounds[b]) + "\"",
-                       cumulative);
-        }
-        AppendSample(out, name + "_bucket", "le=\"+Inf\"", m.count);
-        AppendSample(out, name + "_sum", "", m.sum);
-        AppendSample(out, name + "_count", "", m.count);
-        break;
-      }
       case MetricReading::Kind::kSketch: {
         AppendType(out, name, "summary");
         AppendSample(out, name, "quantile=\"0.5\"",

@@ -20,8 +20,6 @@ namespace obs {
 /// Mapping:
 ///  - Counter   -> `# TYPE <name>_total counter` + one sample
 ///  - Gauge     -> `# TYPE <name> gauge` + one sample
-///  - Histogram -> `# TYPE <name> histogram`, cumulative `le` buckets
-///                 (one per bound plus `+Inf`), `_sum`, `_count`
 ///  - Sketch    -> `# TYPE <name> summary`, quantile samples for
 ///                 0.5 / 0.9 / 0.99 read from the sketch, `_sum`, `_count`
 

@@ -40,9 +40,9 @@ double SketchLayout::ValueFor(int32_t index) const {
 
 namespace {
 
-/// The one micro-unit rounding rule shared with obs::Histogram: exact for
-/// integral and micro-unit-representable values, so sums merge
-/// order-invariantly as int64 additions.
+/// The micro-unit rounding rule: exact for integral and
+/// micro-unit-representable values, so sums merge order-invariantly as
+/// int64 additions.
 int64_t ToMicros(double value) {
   return static_cast<int64_t>(std::llround(value * 1e6));
 }

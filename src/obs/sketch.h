@@ -15,8 +15,8 @@ namespace obs {
 /// α: bucket i covers (γ^(i-1), γ^i] with γ = (1+α)/(1-α), so the bucket's
 /// representative value 2·γ^i/(γ+1) is within a factor (1±α) of every
 /// value in the bucket. Quantile readouts therefore carry a guaranteed
-/// RELATIVE error bound without pre-chosen bounds — the property fixed-
-/// boundary histograms (obs/metrics.h) lack for latency tails.
+/// RELATIVE error bound without pre-chosen bucket bounds, across latency
+/// tails of any magnitude.
 ///
 /// Everything a sketch stores is a uint64 count, and every merge is an
 /// unsigned integer addition — commutative and associative — so merging
@@ -88,8 +88,8 @@ class SketchData {
 
   uint64_t count() const { return total_; }
   uint64_t zero_count() const { return zero_; }
-  /// Sum of observed values, accumulated in integral micro-units exactly
-  /// like obs::Histogram (order-invariant by construction).
+  /// Sum of observed values, accumulated in integral micro-units
+  /// (order-invariant by construction).
   double sum() const { return static_cast<double>(sum_micros_) * 1e-6; }
   int64_t sum_micros() const { return sum_micros_; }
   const SketchLayout& layout() const { return layout_; }

@@ -9,10 +9,6 @@
 #include <utility>
 #include <vector>
 
-#ifdef __linux__
-#include <sched.h>
-#endif
-
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "obs/trace.h"
@@ -69,38 +65,6 @@ void PublishServe(const ServeCounters& c) {
   assignments.Add(c.assignments);
   rounds.Add(c.solver_rounds);
 }
-
-#ifdef __linux__
-int CurrentCpu() { return sched_getcpu(); }
-
-/// Moves the calling runner once onto the k-th allowed CPU after `home`
-/// (the CPU of the thread that launched the runners), then restores its
-/// affinity mask: a placement, not a pin. Where the kernel does not balance
-/// load (cpuset.sched_load_balance = 0) pool threads stay on their
-/// creator's CPU, so every runner would share the admitting thread's CPU
-/// and a Submit burst would wait behind the solves it wakes. Best effort.
-void PlaceRunner(size_t k, int home) {
-  cpu_set_t allowed;
-  if (home < 0 || sched_getaffinity(0, sizeof(allowed), &allowed) != 0 ||
-      CPU_COUNT(&allowed) < 2) {
-    return;
-  }
-  size_t cpu = static_cast<size_t>(home);
-  for (size_t steps = k + 1; steps > 0;) {
-    cpu = (cpu + 1) % static_cast<size_t>(CPU_SETSIZE);
-    if (CPU_ISSET(cpu, &allowed)) --steps;
-  }
-  cpu_set_t one;
-  CPU_ZERO(&one);
-  CPU_SET(cpu, &one);
-  if (sched_setaffinity(0, sizeof(one), &one) == 0) {
-    sched_setaffinity(0, sizeof(allowed), &allowed);
-  }
-}
-#else
-int CurrentCpu() { return -1; }
-void PlaceRunner(size_t, int) {}
-#endif
 
 }  // namespace
 
@@ -324,12 +288,8 @@ void AssignmentServer::Resume() {
       launch = config_.num_threads;
     }
   }
-  const int home = CurrentCpu();
   for (size_t i = 0; i < launch; ++i) {
-    pool_->Submit([this, i, home] {
-      PlaceRunner(i, home);
-      RunnerLoop();
-    });
+    pool_->Submit([this] { RunnerLoop(); });
   }
 }
 

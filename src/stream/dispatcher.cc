@@ -30,10 +30,10 @@ void PublishStream(const StreamCounters& c) {
       reg.GetCounter("stream/workers_arrived");
   static obs::Counter& workers_departed =
       reg.GetCounter("stream/workers_departed");
-  static obs::Histogram& catalog_ms = reg.GetHistogram(
-      "stream/catalog_ms_per_tick", obs::ExponentialBounds(0.25, 4.0, 8));
-  static obs::Histogram& solve_ms = reg.GetHistogram(
-      "stream/solve_ms_per_tick", obs::ExponentialBounds(0.25, 4.0, 8));
+  static obs::QuantileSketch& catalog_ms =
+      reg.GetSketch("stream/catalog_ms_per_tick", 0.01);
+  static obs::QuantileSketch& solve_ms =
+      reg.GetSketch("stream/solve_ms_per_tick", 0.01);
   runs.Increment();
   ticks.Add(c.ticks);
   events.Add(c.events_ingested);

@@ -41,12 +41,36 @@ double Max(const std::vector<double>& v);
 double MeanAbsolutePairwiseDifference(const std::vector<double>& v);
 
 /// Sorted-input variant: `sorted` must already be ascending. Performs
-/// exactly the canonical blocked accumulation the sorting variant performs
-/// after its sort (util/simd.h; scalar and AVX2 dispatch are bit-identical),
-/// so on the same multiset the result is bit-identical — this is what lets
-/// the game solvers serve per-round P_dif from the incrementally sorted
-/// payoff ledger without re-sorting (DESIGN.md §9, §11).
+/// exactly the canonical blocked accumulation (PairwiseDiffTotalSorted) the
+/// sorting variant performs after its sort, so on the same multiset the
+/// result is bit-identical — this is what lets the game solvers serve
+/// per-round P_dif from the incrementally sorted payoff ledger without
+/// re-sorting (DESIGN.md §9, §11).
 double MeanAbsolutePairwiseDifferenceSorted(const std::vector<double>& sorted);
+
+/// Blocked-canonical prefix sums: writes prefix[0] = 0 and prefix[i + 1] =
+/// sum of values[0..i] under the library's canonical accumulation order —
+/// full blocks of 4 fold as
+///
+///   prefix[i+1] = carry + a            ab = a + b
+///   prefix[i+2] = carry + ab           bc = b + c
+///   prefix[i+3] = carry + (bc + a)     cd = c + d
+///   prefix[i+4] = carry + (cd + ab)    carry' = prefix[i+4]
+///
+/// and the (n mod 4) tail continues serially; for n < 4 it is the plain
+/// serial left-to-right pass. Every exclude-one view (OthersView,
+/// PayoffLedger::Exclude) and the potential build their prefix sums here,
+/// so their IAU values agree bit for bit, and SortedIauMonotoneBand's error
+/// proof bounds this tree's depth (DESIGN.md §11). `prefix` must have
+/// n + 1 slots.
+void BlockedPrefixSum(const double* values, size_t n, double* prefix);
+
+/// Σ_{i<j} (values[j] - values[i]) over an ascending sequence — the raw
+/// total MeanAbsolutePairwiseDifferenceSorted scales into P_dif — under the
+/// canonical order: four block-striped lane accumulators fed by the same
+/// blocked exclusive prefixes as BlockedPrefixSum, folded as
+/// (acc0 + acc1) + (acc2 + acc3), then the serial tail.
+double PairwiseDiffTotalSorted(const double* values, size_t n);
 
 /// Gini coefficient of a non-negative vector (auxiliary fairness metric).
 /// Returns 0 for n < 2 or an all-zero vector.

@@ -5,12 +5,43 @@
 #include <exception>
 #include <memory>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "util/logging.h"
 
 namespace fta {
 namespace {
 
 std::atomic<uint64_t> g_pools_created{0};
+
+#ifdef __linux__
+int CurrentCpu() { return sched_getcpu(); }
+
+/// Moves the calling worker once to ThreadPool::PlacementCpu, then
+/// restores its affinity mask (see the class comment).
+void PlaceWorker(size_t k, int home) {
+  cpu_set_t allowed;
+  if (home < 0 || sched_getaffinity(0, sizeof(allowed), &allowed) != 0 ||
+      CPU_COUNT(&allowed) < 2) {
+    return;
+  }
+  std::vector<int> cpus;
+  for (size_t cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &allowed)) cpus.push_back(static_cast<int>(cpu));
+  }
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(static_cast<size_t>(ThreadPool::PlacementCpu(cpus, home, k)), &one);
+  if (sched_setaffinity(0, sizeof(one), &one) == 0) {
+    sched_setaffinity(0, sizeof(allowed), &allowed);
+  }
+}
+#else
+int CurrentCpu() { return -1; }
+void PlaceWorker(size_t, int) {}
+#endif
 
 }  // namespace
 
@@ -21,9 +52,13 @@ uint64_t ThreadPool::total_created() {
 ThreadPool::ThreadPool(size_t num_threads) {
   g_pools_created.fetch_add(1, std::memory_order_relaxed);
   if (num_threads == 0) num_threads = 1;
+  const int home = CurrentCpu();
   threads_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
+    threads_.emplace_back([this, i, home] {
+      PlaceWorker(i, home);
+      WorkerLoop();
+    });
   }
 }
 
@@ -129,6 +164,14 @@ void ThreadPool::RunChunked(size_t n, size_t chunk_size,
     const size_t end = std::min(n, begin + chunk_size);
     fn(c, begin, end);
   });
+}
+
+int ThreadPool::PlacementCpu(const std::vector<int>& allowed, int home,
+                             size_t k) {
+  const auto first = static_cast<size_t>(
+      std::upper_bound(allowed.begin(), allowed.end(), home) -
+      allowed.begin());
+  return allowed[(first + k) % allowed.size()];
 }
 
 void ThreadPool::ParallelFor(size_t n, size_t num_threads,

@@ -20,6 +20,15 @@ namespace fta {
 /// pool: Submit-ed exceptions are caught and logged, RunBatch captures the
 /// first one and rethrows it to the batch's caller.
 ///
+/// Placement: the constructor records the constructing thread's CPU, and
+/// worker k moves itself once to PlacementCpu(allowed CPUs, that CPU, k),
+/// then restores its affinity mask — a placement, not a pin. Where the
+/// kernel does not balance load (cpuset.sched_load_balance = 0) a new
+/// thread stays on its creator's CPU, so without this a fresh pool's
+/// workers would share one CPU until wakeups happened to spread them.
+/// Best effort: a no-op off Linux, on one allowed CPU, or when the
+/// affinity calls fail.
+///
 /// Lock discipline (compile-checked under Clang -Wthread-safety, DESIGN.md
 /// §13): the queue, the shutdown flag, and the in-flight count are guarded
 /// by mu_; every touch goes through a MutexLock scope. threads_ is written
@@ -80,6 +89,13 @@ class ThreadPool {
   /// fn must be safe to invoke concurrently for distinct i.
   static void ParallelFor(size_t n, size_t num_threads,
                           const std::function<void(size_t)>& fn);
+
+  /// The CPU worker `k` of a pool constructed on CPU `home` moves to: the
+  /// k-th CPU of `allowed` (ascending, non-empty) after `home`, counting
+  /// from 0 and wrapping past the last one, so k >= allowed.size() cycles
+  /// round again. `home` need not be in `allowed`.
+  static int PlacementCpu(const std::vector<int>& allowed, int home,
+                          size_t k);
 
  private:
   void WorkerLoop() FTA_EXCLUDES(mu_);

@@ -23,7 +23,7 @@ using vdps_internal::kMinTravelTime;
 
 /// Mirrors a finished generation run into the process-wide metrics
 /// registry. Counter adds only (order-invariant across parallel centers);
-/// wall times go to histograms, whose *counts* stay deterministic.
+/// wall times go to a sketch, whose *count* stays deterministic.
 void PublishGeneration(const GenerationCounters& g) {
   auto& reg = obs::MetricsRegistry::Global();
   static obs::Counter& runs = reg.GetCounter("vdps/generations");
@@ -37,8 +37,8 @@ void PublishGeneration(const GenerationCounters& g) {
   static obs::Counter& arena_bytes = reg.GetCounter("vdps/arena_bytes");
   static obs::Counter& adjacency = reg.GetCounter("vdps/adjacency_pairs");
   static obs::Counter& shards = reg.GetCounter("vdps/shards");
-  static obs::Histogram& wall = reg.GetHistogram(
-      "vdps/generate_wall_ms", obs::ExponentialBounds(0.25, 4.0, 8));
+  static obs::QuantileSketch& wall =
+      reg.GetSketch("vdps/generate_wall_ms", 0.01);
   runs.Increment();
   states.Add(g.states_expanded);
   options.Add(g.options_recorded);

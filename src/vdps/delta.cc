@@ -79,7 +79,7 @@ constexpr uint32_t kRemovedId = 0xffffffffu;
 constexpr uint32_t kOutsideBall = 0xffffffffu;
 
 /// Mirrors a finished delta application into the process-wide metrics
-/// registry (counter adds only; wall time to a histogram).
+/// registry (counter adds only; wall time to a sketch).
 void PublishDelta(const DeltaCounters& d) {
   auto& reg = obs::MetricsRegistry::Global();
   static obs::Counter& deltas = reg.GetCounter("vdps/deltas_applied");
@@ -89,8 +89,8 @@ void PublishDelta(const DeltaCounters& d) {
       reg.GetCounter("vdps/delta_entries_added");
   static obs::Counter& neighborhood =
       reg.GetCounter("vdps/delta_neighborhood_dps");
-  static obs::Histogram& wall = reg.GetHistogram(
-      "vdps/delta_wall_ms", obs::ExponentialBounds(0.25, 4.0, 8));
+  static obs::QuantileSketch& wall =
+      reg.GetSketch("vdps/delta_wall_ms", 0.01);
   deltas.Increment();
   entries_removed.Add(d.entries_removed);
   entries_added.Add(d.entries_added);

@@ -22,7 +22,6 @@
 #include "game/iegt.h"
 #include "model/builder.h"
 #include "util/rng.h"
-#include "util/simd.h"
 #include "vdps/catalog.h"
 
 namespace fta {
@@ -124,51 +123,6 @@ TEST_P(LedgerIdentitySeeds, IegtLedgerAndRebuildRunsAreBitIdentical) {
     EXPECT_EQ(DigestRun(inst, ledger_run), DigestRun(inst, rebuild_run))
         << "seed " << seed << " threads " << threads;
   }
-}
-
-// SIMD dispatch is the third axis of the identity contract: forcing the
-// scalar and AVX2 kernel paths (util/simd.h) must leave every whole-run
-// digest untouched at every thread count, for both solvers. Skips on hosts
-// without AVX2 (or FTA_SIMD=OFF builds), where only one path exists.
-TEST_P(LedgerIdentitySeeds, DispatchModesProduceBitIdenticalRuns) {
-  if (!simd::CpuSupportsAvx2()) {
-    GTEST_SKIP() << "AVX2 unavailable; single dispatch mode";
-  }
-  const simd::SimdMode before = simd::ActiveSimdMode();
-  const uint64_t seed = GetParam() + 8000;
-  const Instance inst = RandomInstance(seed, 14, 6);
-  const VdpsCatalog catalog = VdpsCatalog::Generate(inst, VdpsConfig{});
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    FgtConfig fgt;
-    fgt.record_trace = true;
-    fgt.seed = seed * 13 + 5;
-    fgt.engine.num_threads = threads;
-    fgt.engine.min_parallel_candidates = 1;
-    IegtConfig iegt;
-    iegt.record_trace = true;
-    iegt.seed = seed * 13 + 5;
-    iegt.engine.num_threads = threads;
-    iegt.engine.min_parallel_candidates = 1;
-
-    ASSERT_TRUE(simd::SetSimdMode(simd::SimdMode::kScalar));
-    const uint64_t fgt_scalar = DigestRun(inst, SolveFgt(inst, catalog, fgt));
-    const uint64_t iegt_scalar =
-        DigestRun(inst, SolveIegt(inst, catalog, iegt));
-
-    ASSERT_TRUE(simd::SetSimdMode(simd::SimdMode::kAvx2));
-    const GameResult fgt_avx2 = SolveFgt(inst, catalog, fgt);
-    const GameResult iegt_avx2 = SolveIegt(inst, catalog, iegt);
-
-    EXPECT_EQ(fgt_scalar, DigestRun(inst, fgt_avx2))
-        << "FGT seed " << seed << " threads " << threads;
-    EXPECT_EQ(iegt_scalar, DigestRun(inst, iegt_avx2))
-        << "IEGT seed " << seed << " threads " << threads;
-    // The AVX2 runs must actually have exercised the AVX2 kernels.
-    EXPECT_EQ(fgt_avx2.engine.simd_avx2_batches,
-              fgt_avx2.engine.simd_batches);
-    EXPECT_GT(fgt_avx2.engine.simd_batches, 0u);
-  }
-  simd::SetSimdMode(before);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LedgerIdentitySeeds,

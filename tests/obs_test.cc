@@ -93,35 +93,6 @@ TEST(JsonTest, ParserRejectsMalformed) {
 
 // --------------------------------------------------------------- metrics --
 
-TEST(MetricsTest, HistogramBucketBoundaries) {
-  auto& h = obs::MetricsRegistry::Global().GetHistogram(
-      "obs_test/boundaries", {1.0, 2.0, 4.0});
-  h.Reset();
-  // Bucket i counts value <= bounds[i] (first match); beyond the last
-  // bound goes to the overflow bucket.
-  h.Observe(0.5);  // bucket 0
-  h.Observe(1.0);  // bucket 0: exactly on a bound lands in that bucket
-  h.Observe(1.5);  // bucket 1
-  h.Observe(2.0);  // bucket 1
-  h.Observe(4.0);  // bucket 2
-  h.Observe(5.0);  // overflow
-  const std::vector<uint64_t> counts = h.BucketCounts();
-  ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(counts[0], 2u);
-  EXPECT_EQ(counts[1], 2u);
-  EXPECT_EQ(counts[2], 1u);
-  EXPECT_EQ(counts[3], 1u);
-  EXPECT_EQ(h.TotalCount(), 6u);
-  EXPECT_DOUBLE_EQ(h.Sum(), 14.0);
-}
-
-TEST(MetricsTest, ExponentialBoundsShape) {
-  const std::vector<double> b = obs::ExponentialBounds(0.5, 2.0, 4);
-  ASSERT_EQ(b.size(), 4u);
-  EXPECT_DOUBLE_EQ(b[0], 0.5);
-  EXPECT_DOUBLE_EQ(b[3], 4.0);
-}
-
 /// Runs a fixed integral workload split over `num_threads` threads and
 /// returns the resulting registry snapshot. The workload is identical in
 /// total regardless of the split, so every snapshot must be bit-identical.
@@ -129,8 +100,7 @@ obs::MetricsSnapshot RunShardedWorkload(size_t num_threads) {
   auto& reg = obs::MetricsRegistry::Global();
   reg.Reset();
   auto& counter = reg.GetCounter("obs_test/work_items");
-  auto& hist = reg.GetHistogram("obs_test/work_sizes",
-                                obs::ExponentialBounds(1.0, 2.0, 6));
+  auto& sizes = reg.GetSketch("obs_test/work_sizes", 0.01);
   constexpr size_t kItems = 1200;
   std::vector<std::thread> threads;
   std::atomic<size_t> next{0};
@@ -141,7 +111,7 @@ obs::MetricsSnapshot RunShardedWorkload(size_t num_threads) {
         counter.Add(i % 7);
         // Integral values: the micro-unit sum is exact, so the merged
         // reading cannot depend on which thread observed what.
-        hist.Observe(static_cast<double>(i % 40));
+        sizes.Observe(static_cast<double>(i % 40));
       }
     });
   }
@@ -161,6 +131,12 @@ TEST(MetricsTest, SnapshotMergeIsOrderInvariantAcrossThreadCounts) {
   uint64_t expected = 0;
   for (size_t i = 0; i < 1200; ++i) expected += i % 7;
   EXPECT_EQ(c->counter, expected);
+  const obs::MetricReading* sizes = serial.Find("obs_test/work_sizes");
+  ASSERT_NE(sizes, nullptr);
+  EXPECT_EQ(sizes->kind, obs::MetricReading::Kind::kSketch);
+  EXPECT_EQ(sizes->count, 1200u);
+  // 30 passes over 0..39, summed exactly in micro-units.
+  EXPECT_EQ(sizes->sketch.sum_micros(), int64_t{30 * 780} * 1'000'000);
 }
 
 TEST(MetricsTest, SnapshotJsonSortedAndParseable) {
@@ -180,21 +156,6 @@ TEST(MetricsTest, SnapshotJsonSortedAndParseable) {
   ASSERT_NE(zeta, nullptr);
   EXPECT_DOUBLE_EQ(zeta->NumberOr("value", 0), 3.0);
   EXPECT_EQ(zeta->StringOr("kind", ""), "counter");
-}
-
-TEST(MetricsTest, HistogramReRegistrationKeepsFirstBounds) {
-  auto& reg = obs::MetricsRegistry::Global();
-  auto& first = reg.GetHistogram("obs_test/rereg_hist", {1.0, 2.0, 4.0});
-  auto& second = reg.GetHistogram("obs_test/rereg_hist", {10.0, 20.0});
-  // Same object, first bounds win: re-registration with different bounds
-  // must not create a second histogram or rebucket the first.
-  EXPECT_EQ(&first, &second);
-  EXPECT_EQ(second.bounds(), (std::vector<double>{1.0, 2.0, 4.0}));
-  first.Reset();
-  second.Observe(3.0);  // bucket 2 under the FIRST bounds
-  const std::vector<uint64_t> counts = first.BucketCounts();
-  ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(counts[2], 1u);
 }
 
 TEST(MetricsTest, SketchReRegistrationKeepsFirstAccuracy) {
@@ -425,12 +386,8 @@ TEST(PrometheusTest, TextPageCoversEveryMetricKind) {
   reg.Reset();
   reg.GetCounter("obs_test/prom_counter").Add(3);
   reg.GetGauge("obs_test/prom_gauge").Set(2.5);
-  auto& h = reg.GetHistogram("obs_test/prom_hist", {1.0, 2.0});
-  h.Observe(0.5);
-  h.Observe(1.5);
-  h.Observe(9.0);
   auto& sk = reg.GetSketch("obs_test/prom_sketch");
-  for (int i = 0; i < 10; ++i) sk.Observe(7.0);
+  for (int i = 0; i < 10; ++i) sk.Observe(2.5);
 
   const std::string text = obs::ToPrometheusText(reg.Snapshot());
   EXPECT_NE(text.find("# TYPE fta_obs_test_prom_counter_total counter\n"
@@ -439,20 +396,11 @@ TEST(PrometheusTest, TextPageCoversEveryMetricKind) {
   EXPECT_NE(text.find("# TYPE fta_obs_test_prom_gauge gauge\n"
                       "fta_obs_test_prom_gauge 2.5\n"),
             std::string::npos);
-  // Histogram buckets are cumulative and +Inf equals the total count.
-  EXPECT_NE(text.find("fta_obs_test_prom_hist_bucket{le=\"1\"} 1\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("fta_obs_test_prom_hist_bucket{le=\"2\"} 2\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("fta_obs_test_prom_hist_bucket{le=\"+Inf\"} 3\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("fta_obs_test_prom_hist_sum 11\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("fta_obs_test_prom_hist_count 3\n"),
-            std::string::npos);
   EXPECT_NE(text.find("# TYPE fta_obs_test_prom_sketch summary\n"),
             std::string::npos);
   EXPECT_NE(text.find("fta_obs_test_prom_sketch{quantile=\"0.5\"} "),
+            std::string::npos);
+  EXPECT_NE(text.find("fta_obs_test_prom_sketch_sum 25\n"),
             std::string::npos);
   EXPECT_NE(text.find("fta_obs_test_prom_sketch_count 10\n"),
             std::string::npos);
@@ -645,7 +593,7 @@ TEST(RunReportTest, WindowsSectionRoundTrips) {
 // ----------------------------------------------------------- determinism --
 
 /// Counter-kind registry readings, minus the batch-shaped counters
-/// (parallel_batches, simd/batches, simd/avx2_batches) — the ones that
+/// (parallel_batches, simd/batches) — the ones that
 /// legitimately depend on the thread count: they count fan-outs and
 /// per-shard kernel calls, not algorithmic work. game/simd/lanes stays:
 /// the total candidate count is partition-invariant.

@@ -1,10 +1,10 @@
-// Adversarial bit-identity suite of the SIMD kernel layer (util/simd.h,
-// game/iau_kernels.h): the scalar and AVX2 implementations must agree bit
-// for bit on every input — including exact ties, signed zeros, denormals,
-// and infinities — and the batched IAU kernel must reproduce the single
-// SortedIau bit for bit at every batch size. The AVX2 halves skip
-// gracefully on hosts without AVX2 (or FTA_SIMD=OFF builds), where the
-// dispatch layer has only one path to agree with itself.
+// Adversarial oracle suite of the batch kernel layer (the canonical sums
+// in util/math_util.h, the rank and argmax kernels in game/iau_kernels.h):
+// ranks must equal std::lower_bound on every input — including exact ties,
+// signed zeros, denormals, and infinities — the fused argmax must
+// reproduce the per-lane SortedIau fold bit for bit at every batch size,
+// and the blocked sums must keep their serial semantics on short inputs
+// and agree with plain and quadratic sums to tolerance.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +20,6 @@
 #include "game/iau_kernels.h"
 #include "util/math_util.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace fta {
 namespace {
@@ -29,22 +28,6 @@ namespace {
 // and the |W| ≈ 256 regime the bench gate measures (255/256/257 cover the
 // full-blocks, exact-multiple, and trailing-lane cases).
 const size_t kSizes[] = {0, 1, 3, 4, 5, 255, 256, 257};
-
-/// Forces a dispatch mode for one scope, restoring the previous mode on
-/// exit (the mode is process-global; tests must not leak a forced mode).
-class ScopedSimdMode {
- public:
-  explicit ScopedSimdMode(simd::SimdMode mode)
-      : previous_(simd::ActiveSimdMode()), ok_(simd::SetSimdMode(mode)) {}
-  ~ScopedSimdMode() { simd::SetSimdMode(previous_); }
-  ScopedSimdMode(const ScopedSimdMode&) = delete;
-  ScopedSimdMode& operator=(const ScopedSimdMode&) = delete;
-  bool ok() const { return ok_; }
-
- private:
-  simd::SimdMode previous_;
-  bool ok_;
-};
 
 /// Ascending sequence with long tie runs, both zero signs, and denormals —
 /// every hazard the compare/accumulate kernels must handle exactly.
@@ -79,7 +62,7 @@ TEST(BlockedPrefixSumTest, ShortInputsKeepSerialSemantics) {
   const std::vector<double> v = {0.5, -1.25, 3.75};
   for (size_t n = 0; n <= v.size(); ++n) {
     std::vector<double> prefix(n + 1, -7.0);
-    simd::internal::BlockedPrefixSumScalar(v.data(), n, prefix.data());
+    BlockedPrefixSum(v.data(), n, prefix.data());
     double carry = 0.0;
     EXPECT_EQ(Bits(prefix[0]), Bits(0.0));
     for (size_t i = 0; i < n; ++i) {
@@ -93,7 +76,7 @@ TEST(BlockedPrefixSumTest, PrefixesMatchPlainSumToTolerance) {
   for (size_t n : kSizes) {
     const std::vector<double> v = AdversarialSorted(11 + n, n);
     std::vector<double> prefix(n + 1, 0.0);
-    simd::internal::BlockedPrefixSumScalar(v.data(), n, prefix.data());
+    BlockedPrefixSum(v.data(), n, prefix.data());
     double sum = 0.0;
     for (size_t i = 0; i < n; ++i) {
       sum += v[i];
@@ -101,25 +84,6 @@ TEST(BlockedPrefixSumTest, PrefixesMatchPlainSumToTolerance) {
           << "n=" << n << " i=" << i;
     }
   }
-}
-
-TEST(BlockedPrefixSumTest, ScalarAndAvx2AreBitIdentical) {
-  if (!simd::CpuSupportsAvx2()) GTEST_SKIP() << "AVX2 unavailable";
-#ifdef FTA_SIMD_AVX2
-  for (size_t n : kSizes) {
-    for (uint64_t seed = 1; seed <= 5; ++seed) {
-      const std::vector<double> v = AdversarialSorted(seed * 131 + n, n);
-      std::vector<double> scalar(n + 1, 0.0);
-      std::vector<double> avx2(n + 1, 0.0);
-      simd::internal::BlockedPrefixSumScalar(v.data(), n, scalar.data());
-      simd::internal::BlockedPrefixSumAvx2(v.data(), n, avx2.data());
-      for (size_t i = 0; i <= n; ++i) {
-        ASSERT_EQ(Bits(scalar[i]), Bits(avx2[i]))
-            << "n=" << n << " seed=" << seed << " i=" << i;
-      }
-    }
-  }
-#endif
 }
 
 // ------------------------------------------------ pairwise-diff totals --
@@ -132,57 +96,23 @@ TEST(PairwiseDiffTest, MatchesQuadraticOracleToTolerance) {
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = i + 1; j < n; ++j) oracle += v[j] - v[i];
     }
-    const double got =
-        simd::internal::PairwiseDiffTotalSortedScalar(v.data(), n);
+    const double got = PairwiseDiffTotalSorted(v.data(), n);
     EXPECT_NEAR(got, oracle, 1e-9 * (1.0 + std::abs(oracle))) << "n=" << n;
   }
-}
-
-TEST(PairwiseDiffTest, ScalarAndAvx2AreBitIdentical) {
-  if (!simd::CpuSupportsAvx2()) GTEST_SKIP() << "AVX2 unavailable";
-#ifdef FTA_SIMD_AVX2
-  for (size_t n : kSizes) {
-    for (uint64_t seed = 1; seed <= 5; ++seed) {
-      const std::vector<double> v = AdversarialSorted(seed * 17 + n, n);
-      const double scalar =
-          simd::internal::PairwiseDiffTotalSortedScalar(v.data(), n);
-      const double avx2 =
-          simd::internal::PairwiseDiffTotalSortedAvx2(v.data(), n);
-      ASSERT_EQ(Bits(scalar), Bits(avx2)) << "n=" << n << " seed=" << seed;
-    }
-  }
-#endif
-}
-
-TEST(PairwiseDiffTest, NegativeZeroCarryAgreesAcrossPaths) {
-  if (!simd::CpuSupportsAvx2()) GTEST_SKIP() << "AVX2 unavailable";
-#ifdef FTA_SIMD_AVX2
-  // A -0.0 carry is the one place the naive scalar form (p0 = carry) would
-  // diverge from the vector form (p0 = carry + 0.0): -0.0 + 0.0 = +0.0.
-  const std::vector<double> v = {-0.0, -0.0, -0.0, -0.0, -0.0,
-                                 -0.0, -0.0, -0.0, 1.0};
-  const double scalar =
-      simd::internal::PairwiseDiffTotalSortedScalar(v.data(), v.size());
-  const double avx2 =
-      simd::internal::PairwiseDiffTotalSortedAvx2(v.data(), v.size());
-  EXPECT_EQ(Bits(scalar), Bits(avx2));
-#endif
-}
-
-TEST(PairwiseDiffTest, MeanAbsolutePairwiseDifferenceIsModeInvariant) {
-  std::vector<double> v = AdversarialSorted(99, 257);
-  double scalar_result = 0.0;
-  {
-    ScopedSimdMode scoped(simd::SimdMode::kScalar);
-    scalar_result = MeanAbsolutePairwiseDifferenceSorted(v);
-  }
-  if (!simd::CpuSupportsAvx2()) GTEST_SKIP() << "AVX2 unavailable";
-  ScopedSimdMode scoped(simd::SimdMode::kAvx2);
-  ASSERT_TRUE(scoped.ok());
-  EXPECT_EQ(Bits(scalar_result), Bits(MeanAbsolutePairwiseDifferenceSorted(v)));
+  // Two full blocks of -0.0 ahead of the tail: lane 0's exclusive prefix is
+  // carry + 0.0, and the total is exactly the eight pairs (-0.0, 1.0).
+  const std::vector<double> zeros = {-0.0, -0.0, -0.0, -0.0, -0.0,
+                                     -0.0, -0.0, -0.0, 1.0};
+  EXPECT_EQ(Bits(PairwiseDiffTotalSorted(zeros.data(), zeros.size())),
+            Bits(8.0));
 }
 
 // ------------------------------------------------------- batched ranks --
+
+uint32_t LowerBoundRank(const std::vector<double>& values, double own) {
+  return static_cast<uint32_t>(
+      std::lower_bound(values.begin(), values.end(), own) - values.begin());
+}
 
 TEST(CountLessBatchTest, ScalarEqualsLowerBoundOnTiesAndSpecials) {
   std::vector<double> values = AdversarialSorted(7, 64);
@@ -193,46 +123,33 @@ TEST(CountLessBatchTest, ScalarEqualsLowerBoundOnTiesAndSpecials) {
   owns.push_back(-0.0);
   owns.push_back(std::numeric_limits<double>::denorm_min());
   std::vector<uint32_t> counts(owns.size(), 0);
-  iau_internal::CountLessBatchScalar(values.data(), values.size(),
-                                     owns.data(), owns.size(), counts.data());
+  CountLessBatch(values.data(), values.size(), owns.data(), owns.size(),
+                 counts.data());
   for (size_t j = 0; j < owns.size(); ++j) {
-    const auto expect = static_cast<uint32_t>(
-        std::lower_bound(values.begin(), values.end(), owns[j]) -
-        values.begin());
-    EXPECT_EQ(counts[j], expect) << "own=" << owns[j];
+    EXPECT_EQ(counts[j], LowerBoundRank(values, owns[j])) << "own=" << owns[j];
   }
-}
-
-TEST(CountLessBatchTest, ScalarAndAvx2AgreeExactly) {
-  if (!simd::CpuSupportsAvx2()) GTEST_SKIP() << "AVX2 unavailable";
-#ifdef FTA_SIMD_AVX2
+  // Adversarial sizes, half the owns exact ties against the value array.
   for (size_t n : kSizes) {
-    std::vector<double> values = AdversarialSorted(41 + n, n);
+    std::vector<double> ladder = AdversarialSorted(41 + n, n);
     if (n >= 6) {
-      values.front() = -std::numeric_limits<double>::infinity();
-      values.back() = std::numeric_limits<double>::infinity();
+      ladder.front() = -std::numeric_limits<double>::infinity();
+      ladder.back() = std::numeric_limits<double>::infinity();
     }
     for (size_t count : kSizes) {
       Rng rng(n * 1000 + count);
-      std::vector<double> owns(count);
+      std::vector<double> draws(count);
       for (size_t j = 0; j < count; ++j) {
-        // Half exact ties against the value array, half fresh draws.
-        owns[j] = (n > 0 && rng.Index(2) == 0) ? values[rng.Index(n)]
-                                               : rng.Uniform(-5.0, 5.0);
+        draws[j] = (n > 0 && rng.Index(2) == 0) ? ladder[rng.Index(n)]
+                                                : rng.Uniform(-5.0, 5.0);
       }
-      std::vector<uint32_t> scalar(count + 1, 0);
-      std::vector<uint32_t> avx2(count + 1, 0);
-      iau_internal::CountLessBatchScalar(values.data(), values.size(),
-                                         owns.data(), count, scalar.data());
-      iau_internal::CountLessBatchAvx2(values.data(), values.size(),
-                                       owns.data(), count, avx2.data());
+      std::vector<uint32_t> ranks(count + 1, 0);
+      CountLessBatch(ladder.data(), n, draws.data(), count, ranks.data());
       for (size_t j = 0; j < count; ++j) {
-        ASSERT_EQ(scalar[j], avx2[j])
+        ASSERT_EQ(ranks[j], LowerBoundRank(ladder, draws[j]))
             << "n=" << n << " count=" << count << " j=" << j;
       }
     }
   }
-#endif
 }
 
 TEST(CountLessBatchSortedDescTest, MergeEqualsLowerBoundOnBothPaths) {
@@ -259,26 +176,12 @@ TEST(CountLessBatchSortedDescTest, MergeEqualsLowerBoundOnBothPaths) {
       std::sort(owns.begin(), owns.end(), std::greater<double>());
       ASSERT_TRUE(iau_internal::IsNonIncreasing(owns.data(), count));
       std::vector<uint32_t> merged(count, 0);
-      iau_internal::CountLessBatchSortedDescScalar(
-          values.data(), n, owns.data(), count, merged.data());
+      CountLessBatchSortedDesc(values.data(), n, owns.data(), count,
+                               merged.data());
       for (size_t j = 0; j < count; ++j) {
-        const auto expect = static_cast<uint32_t>(
-            std::lower_bound(values.begin(), values.end(), owns[j]) -
-            values.begin());
-        ASSERT_EQ(merged[j], expect)
-            << "scalar merge n=" << n << " count=" << count << " j=" << j;
+        ASSERT_EQ(merged[j], LowerBoundRank(values, owns[j]))
+            << "merge n=" << n << " count=" << count << " j=" << j;
       }
-#ifdef FTA_SIMD_AVX2
-      if (simd::CpuSupportsAvx2()) {
-        std::vector<uint32_t> avx2(count, 0);
-        iau_internal::CountLessBatchSortedDescAvx2(
-            values.data(), n, owns.data(), count, avx2.data());
-        for (size_t j = 0; j < count; ++j) {
-          ASSERT_EQ(avx2[j], merged[j])
-              << "avx2 merge n=" << n << " count=" << count << " j=" << j;
-        }
-      }
-#endif
     }
   }
 }
@@ -297,36 +200,27 @@ TEST(CountLessBatchSortedDescTest, ConstantOwnsAndAllTiesStopExactly) {
 // -------------------------------------------------------- batched IAUs --
 
 TEST(SortedIauBatchTest, MatchesSingleSortedIauBitwiseInBothModes) {
+  // A one-lane argmax is the lane's utility itself: it must be SortedIau's
+  // bits exactly, rank edges and ties included.
   IauParams params;
   params.alpha = 0.4;
   params.beta = 0.25;
-  std::vector<simd::SimdMode> modes = {simd::SimdMode::kScalar};
-  if (simd::CpuSupportsAvx2()) modes.push_back(simd::SimdMode::kAvx2);
-  for (simd::SimdMode mode : modes) {
-    ScopedSimdMode scoped(mode);
-    ASSERT_TRUE(scoped.ok());
-    for (size_t n : kSizes) {
-      const std::vector<double> values = AdversarialSorted(3 + n, n);
-      std::vector<double> prefix(n + 1, 0.0);
-      simd::BlockedPrefixSum(values.data(), n, prefix.data());
-      for (size_t count : kSizes) {
-        Rng rng(n * 31 + count);
-        std::vector<double> owns(count);
-        for (size_t j = 0; j < count; ++j) {
-          owns[j] = (n > 0 && rng.Index(2) == 0) ? values[rng.Index(n)]
-                                                 : rng.Uniform(-5.0, 5.0);
-        }
-        std::vector<double> out(count, 0.0);
-        SortedIauBatch(values.data(), n, prefix.data(), params, owns.data(),
-                       count, out.data());
-        for (size_t j = 0; j < count; ++j) {
-          ASSERT_EQ(Bits(out[j]),
-                    Bits(SortedIau(values.data(), n, prefix.data(), owns[j],
-                                   params)))
-              << simd::SimdModeName(mode) << " n=" << n << " count=" << count
-              << " j=" << j;
-        }
-      }
+  for (size_t n : kSizes) {
+    const std::vector<double> values = AdversarialSorted(3 + n, n);
+    std::vector<double> prefix(n + 1, 0.0);
+    BlockedPrefixSum(values.data(), n, prefix.data());
+    Rng rng(n * 31 + 7);
+    for (int trial = 0; trial < 64; ++trial) {
+      const double own = (n > 0 && rng.Index(2) == 0)
+                             ? values[rng.Index(n)]
+                             : rng.Uniform(-5.0, 5.0);
+      double u = 0.0;
+      ASSERT_EQ(SortedIauBatchArgmax(values.data(), n, prefix.data(), params,
+                                     &own, 1, &u),
+                size_t{0});
+      ASSERT_EQ(Bits(u),
+                Bits(SortedIau(values.data(), n, prefix.data(), own, params)))
+          << "n=" << n << " own=" << own;
     }
   }
 }
@@ -335,16 +229,14 @@ TEST(SortedIauBatchTest, AgreesWithNaiveIauOracle) {
   IauParams params;  // defaults
   const std::vector<double> values = AdversarialSorted(13, 100);
   std::vector<double> prefix(values.size() + 1, 0.0);
-  simd::BlockedPrefixSum(values.data(), values.size(), prefix.data());
+  BlockedPrefixSum(values.data(), values.size(), prefix.data());
   Rng rng(99);
-  std::vector<double> owns(37);
-  for (double& o : owns) o = rng.Uniform(-5.0, 5.0);
-  std::vector<double> out(owns.size(), 0.0);
-  SortedIauBatch(values.data(), values.size(), prefix.data(), params,
-                 owns.data(), owns.size(), out.data());
-  const std::vector<double> others(values.begin(), values.end());
-  for (size_t j = 0; j < owns.size(); ++j) {
-    EXPECT_NEAR(out[j], Iau(owns[j], others, params), 1e-12) << "j=" << j;
+  for (int j = 0; j < 37; ++j) {
+    const double own = rng.Uniform(-5.0, 5.0);
+    double u = 0.0;
+    SortedIauBatchArgmax(values.data(), values.size(), prefix.data(), params,
+                         &own, 1, &u);
+    EXPECT_NEAR(u, Iau(own, values, params), 1e-12) << "j=" << j;
   }
 }
 
@@ -371,50 +263,42 @@ TEST(SortedIauBatchArgmaxTest, MatchesSequentialFoldBitwiseInBothModes) {
   IauParams params;
   params.alpha = 0.3;
   params.beta = 0.2;
-  std::vector<simd::SimdMode> modes = {simd::SimdMode::kScalar};
-  if (simd::CpuSupportsAvx2()) modes.push_back(simd::SimdMode::kAvx2);
-  // Counts straddle the internal 128-lane chunking (127/128/129/300) as
-  // well as the vector-width edges; descending owns exercise the merge
-  // ranks, shuffled owns the generic fallback.
+  // Counts straddle the internal 128-lane chunking (127/128/129/300);
+  // descending owns exercise the merge ranks, shuffled owns the generic
+  // fallback.
   const size_t kCounts[] = {1, 2, 3, 4, 5, 8, 127, 128, 129, 300};
-  for (simd::SimdMode mode : modes) {
-    ScopedSimdMode scoped(mode);
-    ASSERT_TRUE(scoped.ok());
-    for (size_t n : kSizes) {
-      const std::vector<double> values = AdversarialSorted(17 + n, n);
-      std::vector<double> prefix(n + 1, 0.0);
-      simd::BlockedPrefixSum(values.data(), n, prefix.data());
-      for (size_t count : kCounts) {
-        Rng rng(n * 77 + count);
-        std::vector<double> owns(count);
-        for (size_t j = 0; j < count; ++j) {
-          // Exact ties between lanes (Index(8) buckets) force the
-          // earliest-position tie-break; ties against values hit rank edges.
-          const double tie_pool = -3.0 + static_cast<double>(rng.Index(8));
-          owns[j] = rng.Index(2) == 0
-                        ? tie_pool
-                        : (n > 0 && rng.Index(2) == 0 ? values[rng.Index(n)]
-                                                      : rng.Uniform(-5.0, 5.0));
-        }
-        for (int variant = 0; variant < 2; ++variant) {
-          if (variant == 0) {
-            std::sort(owns.begin(), owns.end(), std::greater<double>());
-          }  // variant 1 keeps the shuffled (generic-rank) order
-          double expect_u = 0.0;
-          const size_t expect_pos =
-              ArgmaxOracle(values.data(), n, prefix.data(), params,
-                           owns.data(), count, &expect_u);
-          double got_u = 0.0;
-          const size_t got_pos =
-              SortedIauBatchArgmax(values.data(), n, prefix.data(), params,
-                                   owns.data(), count, &got_u);
-          ASSERT_EQ(got_pos, expect_pos)
-              << simd::SimdModeName(mode) << " n=" << n << " count=" << count
-              << " variant=" << variant;
-          ASSERT_EQ(Bits(got_u), Bits(expect_u))
-              << simd::SimdModeName(mode) << " n=" << n << " count=" << count
-              << " variant=" << variant;
-        }
+  for (size_t n : kSizes) {
+    const std::vector<double> values = AdversarialSorted(17 + n, n);
+    std::vector<double> prefix(n + 1, 0.0);
+    BlockedPrefixSum(values.data(), n, prefix.data());
+    for (size_t count : kCounts) {
+      Rng rng(n * 77 + count);
+      std::vector<double> owns(count);
+      for (size_t j = 0; j < count; ++j) {
+        // Exact ties between lanes (Index(8) buckets) force the
+        // earliest-position tie-break; ties against values hit rank edges.
+        const double tie_pool = -3.0 + static_cast<double>(rng.Index(8));
+        owns[j] = rng.Index(2) == 0
+                      ? tie_pool
+                      : (n > 0 && rng.Index(2) == 0 ? values[rng.Index(n)]
+                                                    : rng.Uniform(-5.0, 5.0));
+      }
+      for (int variant = 0; variant < 2; ++variant) {
+        if (variant == 1) {
+          std::sort(owns.begin(), owns.end(), std::greater<double>());
+        }  // variant 0 keeps the shuffled (generic-rank) order
+        double expect_u = 0.0;
+        const size_t expect_pos =
+            ArgmaxOracle(values.data(), n, prefix.data(), params, owns.data(),
+                         count, &expect_u);
+        double got_u = 0.0;
+        const size_t got_pos =
+            SortedIauBatchArgmax(values.data(), n, prefix.data(), params,
+                                 owns.data(), count, &got_u);
+        ASSERT_EQ(got_pos, expect_pos)
+            << "n=" << n << " count=" << count << " variant=" << variant;
+        ASSERT_EQ(Bits(got_u), Bits(expect_u))
+            << "n=" << n << " count=" << count << " variant=" << variant;
       }
     }
   }
@@ -424,21 +308,14 @@ TEST(SortedIauBatchArgmaxTest, AllTiedLanesPickPositionZero) {
   IauParams params;
   const std::vector<double> values = AdversarialSorted(5, 64);
   std::vector<double> prefix(values.size() + 1, 0.0);
-  simd::BlockedPrefixSum(values.data(), values.size(), prefix.data());
-  std::vector<simd::SimdMode> modes = {simd::SimdMode::kScalar};
-  if (simd::CpuSupportsAvx2()) modes.push_back(simd::SimdMode::kAvx2);
-  for (simd::SimdMode mode : modes) {
-    ScopedSimdMode scoped(mode);
-    ASSERT_TRUE(scoped.ok());
-    for (size_t count : {size_t{1}, size_t{4}, size_t{9}, size_t{130}}) {
-      const std::vector<double> owns(count, 1.5);
-      double u = 0.0;
-      EXPECT_EQ(SortedIauBatchArgmax(values.data(), values.size(),
-                                     prefix.data(), params, owns.data(), count,
-                                     &u),
-                size_t{0})
-          << simd::SimdModeName(mode) << " count=" << count;
-    }
+  BlockedPrefixSum(values.data(), values.size(), prefix.data());
+  for (size_t count : {size_t{1}, size_t{4}, size_t{9}, size_t{130}}) {
+    const std::vector<double> owns(count, 1.5);
+    double u = 0.0;
+    EXPECT_EQ(SortedIauBatchArgmax(values.data(), values.size(), prefix.data(),
+                                   params, owns.data(), count, &u),
+              size_t{0})
+        << "count=" << count;
   }
 }
 
@@ -451,28 +328,6 @@ TEST(SortedIauBatchArgmaxTest, EmptyOthersReducesToEarliestMaxPayoff) {
                                  owns.size(), &u),
             size_t{1});
   EXPECT_EQ(Bits(u), Bits(3.5));
-}
-
-// ------------------------------------------------------------ dispatch --
-
-TEST(SimdDispatchTest, SetSimdModeRoundTripsAndFailsGracefully) {
-  const simd::SimdMode before = simd::ActiveSimdMode();
-  ASSERT_TRUE(simd::SetSimdMode(simd::SimdMode::kScalar));
-  EXPECT_EQ(simd::ActiveSimdMode(), simd::SimdMode::kScalar);
-  if (simd::CpuSupportsAvx2()) {
-    ASSERT_TRUE(simd::SetSimdMode(simd::SimdMode::kAvx2));
-    EXPECT_EQ(simd::ActiveSimdMode(), simd::SimdMode::kAvx2);
-  } else {
-    // Unavailable mode: refused, and the active mode is untouched.
-    EXPECT_FALSE(simd::SetSimdMode(simd::SimdMode::kAvx2));
-    EXPECT_EQ(simd::ActiveSimdMode(), simd::SimdMode::kScalar);
-  }
-  simd::SetSimdMode(before);
-}
-
-TEST(SimdDispatchTest, ModeNamesAreStable) {
-  EXPECT_STREQ(simd::SimdModeName(simd::SimdMode::kScalar), "scalar");
-  EXPECT_STREQ(simd::SimdModeName(simd::SimdMode::kAvx2), "avx2");
 }
 
 }  // namespace

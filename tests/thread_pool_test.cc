@@ -180,6 +180,35 @@ TEST(ThreadPoolTest, ConcurrentBatchesFromSeparatePoolsDoNotInterfere) {
   EXPECT_EQ(total.load(), 10'000);
 }
 
+TEST(ThreadPoolTest, PlacementCpuTable) {
+  struct Case {
+    std::vector<int> allowed;
+    int home;
+    size_t k;
+    int want;
+  };
+  const Case cases[] = {
+      {{0, 1, 2, 3}, 1, 0, 2},  // worker 0 takes the CPU after home
+      {{0, 1, 2, 3}, 1, 1, 3},
+      {{0, 1, 2, 3}, 1, 2, 0},  // wraps past the last CPU
+      {{0, 1, 2, 3}, 1, 3, 1},  // the k-th after home is home itself
+      {{0, 1, 2, 3}, 1, 4, 2},  // k >= CPU count cycles round again
+      {{0, 1, 2, 3}, 3, 0, 0},
+      {{0, 2, 5, 7}, 2, 0, 5},  // CPUs outside the mask are skipped
+      {{0, 2, 5, 7}, 2, 1, 7},
+      {{0, 2, 5, 7}, 2, 2, 0},
+      {{0, 2, 5, 7}, 3, 0, 5},  // home outside the mask
+      {{4, 5, 6}, 1, 0, 4},
+      {{4, 5, 6}, 9, 1, 5},
+      {{3}, 3, 0, 3},
+      {{3}, 3, 5, 3},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(ThreadPool::PlacementCpu(c.allowed, c.home, c.k), c.want)
+        << "home=" << c.home << " k=" << c.k;
+  }
+}
+
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(257);
   ThreadPool::ParallelFor(hits.size(), 4,

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Self-test for bench_track: history folding, replacement semantics,
 regression detection (including an injected synthetic regression),
-report-only mode, and malformed-history failure."""
+same-host baselines, report-only mode, and malformed-history failure."""
 
 import copy
 import json
@@ -14,35 +14,48 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_track  # noqa: E402
 
 
-def meta(sha):
-    return {"git_sha": sha, "cpu": "test-cpu", "date": "2026-08-08",
-            "compiler": "g++", "build": "release", "threads": 4}
+def meta(sha, cpu="test-cpu", threads=4):
+    return {"git_sha": sha, "cpu": cpu, "date": "2026-08-08",
+            "compiler": "g++", "build": "release", "threads": threads}
 
 
-def obs_bench(sha, overhead=0.002, stream_overhead=0.004):
+def obs_bench(sha, overhead=0.002, stream_overhead=0.004, span_ns=2.0,
+              ontick_ns=400.0, **host):
     return {
-        "bench": "obs_overhead", "meta": meta(sha),
-        "disabled_span_ns": 2.0, "overhead_fraction": overhead,
+        "bench": "obs_overhead", "meta": meta(sha, **host),
+        "disabled_span_ns": span_ns, "overhead_fraction": overhead,
         "stream_telemetry": {"overhead_fraction": stream_overhead,
-                             "ontick_ns": 400.0, "digest_match": True},
+                             "ontick_ns": ontick_ns, "digest_match": True},
         "pass": True,
     }
 
 
-def game_bench(sha, ns_per_evaluate=200.0, speedup=6.0):
+def game_bench(sha, ns_per_evaluate=200.0, speedup=6.0, **host):
     return {
-        "bench": "game_ledger", "meta": meta(sha),
+        "bench": "game_ledger", "meta": meta(sha, **host),
         "ledger": {"ns_per_evaluate": ns_per_evaluate},
         "speedup": speedup, "pass": True,
     }
 
 
-def serve_bench(sha, throughput=33000.0, p99=60.0):
+def serve_bench(sha, throughput=33000.0, p99=60.0, speedup=3.2, **host):
     return {
-        "bench": "serve", "meta": meta(sha),
+        "bench": "serve", "meta": meta(sha, **host),
         "serve8": {"throughput_assignments_per_s": throughput,
-                   "p99_latency_ms": p99, "speedup_vs_sequential": 3.2},
+                   "p99_latency_ms": p99, "speedup_vs_sequential": speedup},
         "digest_identity": True, "pass": True,
+    }
+
+
+def host_benches(sha, slowdown=1.0, **host):
+    """Every bench of one run on a host `slowdown` times slower: wall
+    times scale up, throughput down; ratios timed within the run stay."""
+    return {
+        "obs": obs_bench(sha, span_ns=2.0 * slowdown,
+                         ontick_ns=400.0 * slowdown, **host),
+        "game": game_bench(sha, ns_per_evaluate=200.0 * slowdown, **host),
+        "serve": serve_bench(sha, throughput=33000.0 / slowdown,
+                             p99=60.0 * slowdown, **host),
     }
 
 
@@ -143,12 +156,38 @@ class BenchTrackTest(unittest.TestCase):
     def test_check_flags_serve_throughput_drop(self):
         for sha in ("s1", "s2", "s3"):
             self.assertEqual(self.collect(sha), 0)
-        # Throughput (higher-is-better) collapses by 40%.
-        self.write_benches(
-            "s4", serve=serve_bench("s4", throughput=20000.0))
+        # serve8's speedup over the sequential reference (higher-is-better)
+        # drops by 30% against same-host entries.
+        self.write_benches("s4", serve=serve_bench("s4", speedup=2.24))
         self.assertEqual(self.check(), 1)
         # p99 (lower-is-better) doubling is likewise a regression.
         self.write_benches("s4", serve=serve_bench("s4", p99=120.0))
+        self.assertEqual(self.check(), 1)
+        # Raw throughput is reported, not checked: a slower host lowers it
+        # together with the sequential reference the ratio divides by.
+        self.write_benches(
+            "s4", serve=serve_bench("s4", throughput=20000.0))
+        self.assertEqual(self.check(), 0)
+
+    def test_check_ignores_other_hosts(self):
+        # History from a faster 1-thread host; the candidate runs
+        # uniformly 1.5x slower on a 4-thread host.
+        other = {"cpu": "fast-cpu", "threads": 1}
+        for sha in ("s1", "s2", "s3"):
+            self.assertEqual(self.collect(sha, **host_benches(sha, **other)),
+                             0)
+        self.write_benches("s4", **host_benches("s4", slowdown=1.5))
+        self.assertEqual(self.check(), 0)
+        # Once same-host entries exist, only they form the baseline: the
+        # same slow numbers pass, and a 30% speedup drop still flags.
+        for sha in ("s4", "s5"):
+            self.assertEqual(
+                self.collect(sha, **host_benches(sha, slowdown=1.5)), 0)
+        self.write_benches("s6", **host_benches("s6", slowdown=1.5))
+        self.assertEqual(self.check(), 0)
+        slow = host_benches("s6", slowdown=1.5)
+        slow["serve"]["serve8"]["speedup_vs_sequential"] = 3.2 * 0.7
+        self.write_benches("s6", **slow)
         self.assertEqual(self.check(), 1)
 
     def test_check_within_threshold_passes(self):

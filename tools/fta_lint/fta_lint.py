@@ -55,13 +55,12 @@ tools/fta_lint/testdata/ and pin every diagnostic exactly.
 
   raw-simd-intrinsics
       A raw vector intrinsic (`_mm256_*` and friends) or an intrinsic
-      header include (`<immintrin.h>`) outside the sanctioned kernel TUs
-      (src/util/simd_avx2.cc, src/game/iau_kernels_avx2.cc). Only those
-      TUs are compiled with -mavx2 and -ffp-contract=off; an intrinsic
-      anywhere else either fails to compile in the portable default build
-      or — worse — compiles into a TU whose contraction settings break the
-      scalar/AVX2 bit-identity contract (DESIGN.md §11). Route new vector
-      code through util/simd.h / game/iau_kernels.h dispatch instead.
+      header include (`<immintrin.h>`) anywhere in scope. The kernels
+      (util/math_util.h, game/iau_kernels.h) have one portable scalar
+      path, and no TU is compiled with vector ISA flags: an intrinsic
+      either fails to compile or adds a second path that every digest
+      would have to be proven against (DESIGN.md §11). SIMD_SANCTIONED
+      is empty; a file added to it is exempt.
 
   raw-mutex
       A raw standard-library locking primitive (std::mutex and variants,
@@ -139,12 +138,9 @@ SORTED_METRIC = re.compile(
 # Intrinsic calls (`_mm_`, `_mm256_`, `_mm512_`, ...) and intrinsic-header
 # includes. Type names like __m256d do not match (no `_mm<digits>_` run).
 SIMD_INTRINSIC = re.compile(r"#\s*include\s*<\w*intrin\.h>|\b_mm\d*_\w+")
-# The only TUs allowed to hold raw intrinsics: the per-TU -mavx2 kernels
-# behind the util/simd.h dispatch layer.
-SIMD_SANCTIONED = (
-    "src/util/simd_avx2.cc",
-    "src/game/iau_kernels_avx2.cc",
-)
+# TUs allowed to hold raw intrinsics: none, since the kernels have one
+# scalar path (DESIGN.md §11).
+SIMD_SANCTIONED = ()
 
 # Direct clock reads banned from the replay-deterministic layers. The
 # chrono alternative covers every std clock; the libc alternatives cover
@@ -568,10 +564,9 @@ class RawSimdIntrinsicsRule(Rule):
             for m in SIMD_INTRINSIC.finditer(line):
                 self.report(
                     scan, i,
-                    f"'{m.group(0).strip()}' outside a sanctioned kernel "
-                    "TU; raw SIMD belongs in src/util/simd_avx2.cc / "
-                    "src/game/iau_kernels_avx2.cc behind the util/simd.h "
-                    "dispatch layer (DESIGN.md §11)",
+                    f"'{m.group(0).strip()}' — raw SIMD; the kernels "
+                    "have one portable scalar path built without vector "
+                    "ISA flags (DESIGN.md §11)",
                     out,
                 )
 

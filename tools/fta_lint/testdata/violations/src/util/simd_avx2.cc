@@ -1,5 +1,5 @@
-// Fixture: a sanctioned kernel TU (path suffix src/util/simd_avx2.cc) —
-// intrinsics and the intrinsic header are allowed here, no diagnostics.
+// Fixture: the path of the deleted AVX2 kernel TU. No file is sanctioned,
+// so its intrinsic header and intrinsic are flagged like any other.
 #include <immintrin.h>
 
 namespace fta {
