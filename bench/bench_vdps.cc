@@ -1,7 +1,8 @@
 // C-VDPS catalog generation micro-bench: thread-count determinism, phase
 // timings, and the route arena's allocation savings on the GM default
-// instance. Emits BENCH_vdps.json with wall-clock, counter, and memory
-// fields so the bench trajectory accumulates across revisions.
+// instance, plus a report-only |DP| sweep at fixed density. Emits
+// BENCH_vdps.json with wall-clock, counter, and memory fields so the bench
+// trajectory accumulates across revisions.
 //
 // Hard gates (the bench aborts if they fail):
 //  - catalogs are bit-identical across thread counts {1, 2, 4, 8};
@@ -15,6 +16,8 @@
 //    routes), so their transient route traffic is zero by construction.
 //    (Parallel runs additionally copy the few set keys that multiple
 //    shards discover independently; the gate measures the serial run.)
+
+#include <sys/resource.h>
 
 #include <fstream>
 #include <sstream>
@@ -86,6 +89,57 @@ void AppendCounters(std::ostringstream& json, const GenerationCounters& g) {
        << ", \"wall_ms\": " << StrFormat("%.3f", g.wall_ms);
 }
 
+/// The process's peak resident set so far, in MiB (Linux reports KiB).
+double MaxRssMb() {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
+/// Report-only |DP| sweep at fixed density: one SYN center whose region
+/// grows with |DP| while delivery points, workers and tasks per km² stay at
+/// the paper's SYN values (ScaleSyn), generated serially under SynOptions
+/// (ε = 2 km, max_set_size 3). A center's 2 h deadlines bound how far its
+/// sequences reach, so the enumeration saturates while the adjacency grows
+/// linearly; a dense |DP|² travel matrix would grow quadratically. Each
+/// step finishes within a few seconds on a 4-vCPU host.
+void RunDpSweep(std::ostringstream& json) {
+  std::printf("\n|DP| sweep (one SYN center, fixed density, serial):\n");
+  json << "  \"dp_sweep\": [\n";
+  const std::vector<size_t> steps{100, 1000, 10000, 100000};
+  for (size_t i = 0; i < steps.size(); ++i) {
+    SynConfig syn = ScaleSyn(SynConfig{}, static_cast<double>(steps[i]) /
+                                              static_cast<double>(
+                                                  SynConfig{}.num_delivery_points));
+    syn.num_centers = 1;
+    const Instance instance = std::move(GenerateSyn(syn).centers[0]);
+    VdpsConfig config = SynOptions().vdps;
+    config.num_threads = 1;
+    Stopwatch sw;
+    const VdpsCatalog catalog = VdpsCatalog::Generate(instance, config);
+    const double wall_ms = sw.ElapsedMillis();
+    const GenerationCounters& g = catalog.generation();
+    std::printf(
+        "  dps=%5zu area=%6.1fkm  pairs=%7llu states=%7llu entries=%7llu "
+        "strategies=%8llu  adj=%7.2fms enum=%7.2fms strat=%7.2fms "
+        "wall=%8.2fms  max_rss=%.1fMiB\n",
+        instance.num_delivery_points(), syn.area,
+        static_cast<unsigned long long>(g.adjacency_pairs),
+        static_cast<unsigned long long>(g.states_expanded),
+        static_cast<unsigned long long>(g.entries),
+        static_cast<unsigned long long>(g.strategies), g.adjacency_ms,
+        g.enumerate_ms, g.strategies_ms, wall_ms, MaxRssMb());
+    json << "    {\"dps\": " << instance.num_delivery_points()
+         << ", \"workers\": " << instance.num_workers()
+         << ", \"area_km\": " << StrFormat("%.3f", syn.area)
+         << ", \"bench_wall_ms\": " << StrFormat("%.3f", wall_ms)
+         << ", \"max_rss_mb\": " << StrFormat("%.1f", MaxRssMb()) << ", ";
+    AppendCounters(json, g);
+    json << (i + 1 < steps.size() ? "},\n" : "}\n");
+  }
+  json << "  ],\n";
+}
+
 void Main() {
   PrintHeader("bench_vdps — parallel, allocation-lean C-VDPS generation");
 
@@ -151,6 +205,8 @@ void Main() {
     }
   }
   json << "\n  ],\n";
+
+  RunDpSweep(json);
 
   // Allocation-reduction gate. Both implementations end with the same
   // catalog (entry.dps keys + surviving option routes), so the retained

@@ -119,6 +119,34 @@ RadiusAdjacency GridIndex::BuildRadiusAdjacency(double radius,
   return adj;
 }
 
+RadiusAdjacency CompleteAdjacency(size_t n) {
+  RadiusAdjacency adj;
+  adj.offsets.resize(n + 1);
+  adj.neighbors.resize(n * n);
+  for (size_t j = 0; j <= n; ++j) {
+    adj.offsets[j] = static_cast<uint32_t>(j * n);
+  }
+  for (size_t k = 0; k < n * n; ++k) {
+    adj.neighbors[k] = static_cast<uint32_t>(k % n);
+  }
+  return adj;
+}
+
+EdgeTravelTimes::EdgeTravelTimes(const Point& origin,
+                                 const std::vector<Point>& points,
+                                 const RadiusAdjacency& adj,
+                                 const TravelModel& travel) {
+  FTA_CHECK(adj.num_points() == points.size());
+  from_origin.resize(points.size());
+  edge.resize(adj.num_pairs());
+  for (uint32_t j = 0; j < points.size(); ++j) {
+    from_origin[j] = travel.TravelTime(origin, points[j]);
+    for (uint32_t k = adj.offsets[j]; k < adj.offsets[j + 1]; ++k) {
+      edge[k] = travel.TravelTime(points[j], points[adj.neighbors[k]]);
+    }
+  }
+}
+
 int64_t GridIndex::Nearest(const Point& center) const {
   if (points_.empty()) return -1;
   // Expand rings of cells until a hit is found, then verify one more ring

@@ -6,6 +6,7 @@
 
 #include "geo/bounding_box.h"
 #include "geo/point.h"
+#include "geo/travel.h"
 
 namespace fta {
 
@@ -32,6 +33,28 @@ struct RadiusAdjacency {
   const uint32_t* end(uint32_t j) const {
     return neighbors.data() + offsets[j + 1];
   }
+};
+
+/// The complete graph on n points as a RadiusAdjacency: every row holds
+/// 0 .. n-1 ascending, which is what an infinite radius selects.
+RadiusAdjacency CompleteAdjacency(size_t n);
+
+/// Travel times along the edges of a RadiusAdjacency — the only point
+/// pairs the C-VDPS engines ever read a time for. `edge` is parallel to
+/// `adj.neighbors`: edge[k] for k in [adj.offsets[j], adj.offsets[j + 1])
+/// is the time from point j to adj.neighbors[k]. `from_origin[j]` is the
+/// time from the origin (the distribution center) to point j.
+///
+/// Every value is TravelModel::TravelTime of its two points. That value is
+/// bitwise symmetric — (a - b)² == (b - a)² — so an edge and its reverse
+/// hold the same double.
+struct EdgeTravelTimes {
+  std::vector<double> from_origin;  // n origin -> point times
+  std::vector<double> edge;         // one per adjacency edge
+
+  EdgeTravelTimes() = default;
+  EdgeTravelTimes(const Point& origin, const std::vector<Point>& points,
+                  const RadiusAdjacency& adj, const TravelModel& travel);
 };
 
 /// Uniform grid over a point set, supporting radius queries. This is the

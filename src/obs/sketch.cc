@@ -42,9 +42,13 @@ namespace {
 
 /// The micro-unit rounding rule: exact for integral and
 /// micro-unit-representable values, so sums merge order-invariantly as
-/// int64 additions.
+/// int64 additions. A value whose micro-units do not fit an int64 — NaN,
+/// ±inf, |value| >= 9.2e12, all past the sketch's range anyway — keeps its
+/// bucket but adds 0 to the sum (llround would return INT64_MIN).
 int64_t ToMicros(double value) {
-  return static_cast<int64_t>(std::llround(value * 1e6));
+  const double micros = value * 1e6;
+  if (!(std::fabs(micros) < 9.2e18)) return 0;
+  return static_cast<int64_t>(std::llround(micros));
 }
 
 }  // namespace

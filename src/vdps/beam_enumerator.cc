@@ -3,13 +3,12 @@
 #include <cstdint>
 #include <vector>
 
-#include "geo/distance_matrix.h"
-#include "geo/grid_index.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/math_util.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
+#include "vdps/catalog_internal.h"
 #include "vdps/enumeration_store.h"
 #include "vdps/generators.h"
 #include "vdps/route_arena.h"
@@ -57,18 +56,9 @@ GenerationResult GenerateCVdpsBeam(const Instance& instance,
   const uint32_t n = static_cast<uint32_t>(instance.num_delivery_points());
   if (n == 0) return result;
 
-  const DistanceMatrix dm(instance.center(), instance.DeliveryPointLocations(),
-                          instance.travel());
-  RadiusAdjacency adj;
-  const bool pruned = !std::isinf(config.epsilon);
-  if (pruned) {
-    Stopwatch adj_sw;
-    FTA_SPAN("vdps/adjacency");
-    const GridIndex grid(instance.DeliveryPointLocations(), config.epsilon);
-    adj = grid.BuildRadiusAdjacency(config.epsilon, pool);
-    result.counters.adjacency_ms = adj_sw.ElapsedMillis();
-    result.counters.adjacency_pairs = adj.num_pairs();
-  }
+  vdps_internal::TravelGraph graph =
+      vdps_internal::BuildTravelGraph(instance, config, pool, &result.counters);
+  const RadiusAdjacency& adj = graph.adj;
   const uint32_t cap =
       config.max_set_size == 0 ? n : std::min(config.max_set_size, n);
 
@@ -141,7 +131,7 @@ GenerationResult GenerateCVdpsBeam(const Instance& instance,
   FTA_SPAN("vdps/enumerate");
   std::vector<PendingChild> pending;
   for (uint32_t j = 0; j < n; ++j) {
-    const double arr = dm.FromOrigin(j);
+    const double arr = graph.times.from_origin[j];
     const double slack = instance.delivery_point(j).earliest_expiry() - arr;
     if (slack < 0.0) continue;
     pending.push_back(PendingChild{RouteArena::kNone, j, arr, slack,
@@ -162,23 +152,17 @@ GenerationResult GenerateCVdpsBeam(const Instance& instance,
     // the beam can scan concurrently.
     const auto extend_item = [&](const BeamItem& item,
                                  std::vector<PendingChild>& out) {
-      const auto try_extend = [&](uint32_t j) {
-        if (store.arena.Contains(item.node, j)) return;
-        const double arr = item.arrival + dm.Between(item.last, j);
+      for (uint32_t k = adj.offsets[item.last]; k < adj.offsets[item.last + 1];
+           ++k) {
+        const uint32_t j = adj.neighbors[k];
+        if (store.arena.Contains(item.node, j)) continue;
+        const double arr = item.arrival + graph.times.edge[k];
         const double slk = std::min(
             item.slack, instance.delivery_point(j).earliest_expiry() - arr);
-        if (slk < 0.0) return;
+        if (slk < 0.0) continue;
         out.push_back(PendingChild{
             item.node, j, arr, slk,
             item.reward + instance.delivery_point(j).total_reward()});
-      };
-      if (pruned) {
-        for (const uint32_t* p = adj.begin(item.last); p != adj.end(item.last);
-             ++p) {
-          try_extend(*p);
-        }
-      } else {
-        for (uint32_t j = 0; j < n; ++j) try_extend(j);
       }
     };
 
@@ -215,7 +199,7 @@ GenerationResult GenerateCVdpsBeam(const Instance& instance,
   }
   result.counters.finalize_ms = fin_sw.ElapsedMillis();
   result.truncated = result.truncated || shrink_truncated;
-  result.adjacency = std::move(adj);
+  if (!std::isinf(config.epsilon)) result.adjacency = std::move(graph.adj);
   return result;
 }
 

@@ -55,6 +55,28 @@ void PublishGeneration(const GenerationCounters& g) {
 
 }  // namespace
 
+namespace vdps_internal {
+
+TravelGraph BuildTravelGraph(const Instance& instance,
+                             const VdpsConfig& config, ThreadPool* pool,
+                             GenerationCounters* counters) {
+  Stopwatch sw;
+  FTA_SPAN("vdps/adjacency");
+  const std::vector<Point> points = instance.DeliveryPointLocations();
+  TravelGraph g;
+  g.adj = std::isinf(config.epsilon)
+              ? CompleteAdjacency(points.size())
+              : GridIndex(points, config.epsilon)
+                    .BuildRadiusAdjacency(config.epsilon, pool);
+  g.times = EdgeTravelTimes(instance.center(), points, g.adj,
+                            instance.travel());
+  counters->adjacency_ms = sw.ElapsedMillis();
+  counters->adjacency_pairs = g.adj.num_pairs();
+  return g;
+}
+
+}  // namespace vdps_internal
+
 void GenerationCounters::Merge(const GenerationCounters& o) {
   states_expanded += o.states_expanded;
   options_recorded += o.options_recorded;

@@ -53,7 +53,8 @@ struct GenerationCounters {
   /// Route vector allocations the pre-arena implementation would have
   /// performed.
   uint64_t legacy_route_allocs = 0;
-  /// Total ε-adjacency list length (0 when ε = ∞ disables the precompute).
+  /// Total adjacency list length: the ε-adjacency's, n² for the complete
+  /// graph an ε = ∞ run extends along.
   uint64_t adjacency_pairs = 0;
   /// Enumeration shards (1 when serial).
   uint64_t shards = 0;

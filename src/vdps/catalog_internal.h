@@ -10,14 +10,35 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "geo/grid_index.h"
 #include "vdps/catalog.h"
 
 namespace fta {
+
+class ThreadPool;
+
 namespace vdps_internal {
 
 /// Denominator floor guarding against degenerate zero travel times (worker
 /// standing at the center with a delivery point there too).
 constexpr double kMinTravelTime = 1e-12;
+
+/// The graph an enumeration run extends sequences along: the ε-adjacency
+/// rows (the complete graph when ε = ∞, so every engine walks one loop)
+/// and the travel time of each edge. The engines read no other pairwise
+/// time: Equation 4's pruning extends a sequence only to ε-neighbours.
+struct TravelGraph {
+  RadiusAdjacency adj;
+  EdgeTravelTimes times;
+};
+
+/// Builds the TravelGraph of `instance`'s delivery points under
+/// config.epsilon (GridIndex radius queries, fanned out over a non-null
+/// `pool`), timed into counters->adjacency_ms with its edge count in
+/// counters->adjacency_pairs (the vdps/adjacency phase).
+TravelGraph BuildTravelGraph(const Instance& instance,
+                             const VdpsConfig& config, ThreadPool* pool,
+                             GenerationCounters* counters);
 
 /// Canonical catalog entry order: set size ascending, then lexicographic
 /// on the sorted delivery point ids. A strict total order on distinct

@@ -25,8 +25,9 @@
 //     rows a GridIndex over the ball's points would build), replays the
 //     exact serial DFS the full generator would run for those sets: same
 //     roots in the same relative order, same ascending adjacency-row
-//     extensions, same float arithmetic on the same point pairs, hence the
-//     same raw-option order into the same Pareto selection.
+//     extensions, same float arithmetic on the same point pairs (the
+//     sub-run times the ball's edges with the same TravelTime doubles),
+//     hence the same raw-option order into the same Pareto selection.
 //
 //   * The sub-enumeration is goal-directed (EnumerationFocus in
 //     generators.h). The BFS records each point's hop distance h(v) to
@@ -280,7 +281,8 @@ Status VdpsCatalog::ApplyDelta(const Instance& new_instance,
   // ---- 3. ε-adjacency CSR patch: filter + renumber survivor rows, splice
   // the additions in (added ids are all larger than survivor ids, so they
   // append at row tails in ascending order), brute-force rows for the
-  // added points with GridIndex::RadiusQuery's exact predicate. ----
+  // added points with GridIndex::RadiusQuery's exact predicate. Every
+  // step after the brute-force rows is linear in the edges. ----
   const size_t new_dps = new_instance.num_delivery_points();
   const bool pruned = !std::isinf(config_.epsilon);
   if (pruned) {
@@ -298,27 +300,45 @@ Status VdpsCatalog::ApplyDelta(const Instance& new_instance,
         }
       }
     }
+    // Reverse edges into the survivors' rows, from one counting pass over
+    // the added rows (symmetric predicate: the squared distance folds
+    // (a-b) vs (b-a), whose squares are identical). Survivor v's reverse
+    // edges are rev[rev_at[v] .. rev_at[v + 1]), in ascending added id
+    // order because the fill walks the added points in order.
+    std::vector<uint32_t> rev_at(surviving_dps + 1, 0);
+    size_t added_edges = 0;
+    for (const std::vector<uint32_t>& row : added_rows) {
+      added_edges += row.size();
+      for (uint32_t q : row) {
+        if (q < surviving_dps) ++rev_at[q + 1];
+      }
+    }
+    for (size_t v = 0; v < surviving_dps; ++v) rev_at[v + 1] += rev_at[v];
+    std::vector<uint32_t> rev(rev_at[surviving_dps]);
+    {
+      std::vector<uint32_t> cursor(rev_at.begin(), rev_at.end() - 1);
+      for (size_t k = 0; k < plan.added_dps; ++k) {
+        for (uint32_t q : added_rows[k]) {
+          if (q < surviving_dps) {
+            rev[cursor[q]++] = static_cast<uint32_t>(surviving_dps + k);
+          }
+        }
+      }
+    }
     RadiusAdjacency next;
     next.offsets.reserve(new_dps + 1);
     next.offsets.push_back(0);
-    next.neighbors.reserve(adjacency_.neighbors.size() +
-                           2 * plan.added_dps * 8);
+    next.neighbors.reserve(adjacency_.neighbors.size() + rev.size() +
+                           added_edges);
     for (size_t old = 0; old < old_dps; ++old) {
       if (dp_map[old] == kRemovedId) continue;
       for (const uint32_t* p = adjacency_.begin(static_cast<uint32_t>(old));
            p != adjacency_.end(static_cast<uint32_t>(old)); ++p) {
         if (dp_map[*p] != kRemovedId) next.neighbors.push_back(dp_map[*p]);
       }
-      // Reverse edges into this survivor's row from each added point, in
-      // ascending added id order (symmetric predicate: the squared
-      // distance folds (a-b) vs (b-a), whose squares are identical).
       const uint32_t me = dp_map[old];
-      for (size_t k = 0; k < plan.added_dps; ++k) {
-        if (std::binary_search(added_rows[k].begin(), added_rows[k].end(),
-                               me)) {
-          next.neighbors.push_back(static_cast<uint32_t>(surviving_dps + k));
-        }
-      }
+      next.neighbors.insert(next.neighbors.end(), rev.begin() + rev_at[me],
+                            rev.begin() + rev_at[me + 1]);
       next.offsets.push_back(static_cast<uint32_t>(next.neighbors.size()));
     }
     for (size_t k = 0; k < plan.added_dps; ++k) {
@@ -384,7 +404,9 @@ Status VdpsCatalog::ApplyDelta(const Instance& new_instance,
       focus.hops.push_back(hops[id]);
     }
     d.neighborhood_dps = hood.size();
-    if (pruned) {
+    if (!pruned) {
+      focus.adjacency = CompleteAdjacency(hood.size());
+    } else {
       RadiusAdjacency& adj = focus.adjacency;
       adj.offsets.reserve(hood.size() + 1);
       adj.offsets.push_back(0);

@@ -4,8 +4,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "geo/distance_matrix.h"
-#include "geo/grid_index.h"
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -39,22 +37,12 @@ GenerationResult GenerateCVdpsExact(const Instance& instance,
 
   const uint32_t cap =
       config.max_set_size == 0 ? n : std::min(config.max_set_size, n);
-  const DistanceMatrix dm(instance.center(), instance.DeliveryPointLocations(),
-                          instance.travel());
-
   // ε-adjacency rows (ascending, including self) replace the O(n) distance
   // rescan per state expansion — the same precompute, and therefore the
   // exact same neighborhood predicate, as the sequence enumerators.
-  RadiusAdjacency adj;
-  const bool pruned = !std::isinf(config.epsilon);
-  if (pruned) {
-    Stopwatch adj_sw;
-    FTA_SPAN("vdps/adjacency");
-    const GridIndex grid(instance.DeliveryPointLocations(), config.epsilon);
-    adj = grid.BuildRadiusAdjacency(config.epsilon, nullptr);
-    c.adjacency_ms = adj_sw.ElapsedMillis();
-    c.adjacency_pairs = adj.num_pairs();
-  }
+  vdps_internal::TravelGraph graph =
+      vdps_internal::BuildTravelGraph(instance, config, nullptr, &c);
+  const RadiusAdjacency& adj = graph.adj;
 
   Stopwatch enum_sw;
   FTA_SPAN("vdps/enumerate");
@@ -64,7 +52,7 @@ GenerationResult GenerateCVdpsExact(const Instance& instance,
   // Base case |Q| = 1 (Equation 3): center -> dp_j.
   std::vector<std::pair<uint32_t, SequenceOption>> roots;
   for (uint32_t j = 0; j < n; ++j) {
-    const double arr = dm.FromOrigin(j);
+    const double arr = graph.times.from_origin[j];
     const double slack = instance.delivery_point(j).earliest_expiry() - arr;
     if (slack < 0.0) continue;  // infeasible even with offset 0
     SequenceOption opt;
@@ -125,9 +113,10 @@ GenerationResult GenerateCVdpsExact(const Instance& instance,
       // invalidate `it` — the old code re-found the source after every
       // target access instead.
       const std::vector<SequenceOption> sources = it->second;
-      const auto expand_to = [&](uint32_t next) {
-        if (mask & (1u << next)) return;
-        const double hop = dm.Between(last, next);
+      for (uint32_t k = adj.offsets[last]; k < adj.offsets[last + 1]; ++k) {
+        const uint32_t next = adj.neighbors[k];
+        if (mask & (1u << next)) continue;
+        const double hop = graph.times.edge[k];
         const double e_next = instance.delivery_point(next).earliest_expiry();
         auto& target = dp[MakeKey(mask | (1u << next), next, n)];
         for (const SequenceOption& src : sources) {
@@ -145,13 +134,6 @@ GenerationResult GenerateCVdpsExact(const Instance& instance,
           InsertParetoOption(target, std::move(opt), config.max_pareto,
                              &stats);
         }
-      };
-      if (pruned) {
-        for (const uint32_t* p = adj.begin(last); p != adj.end(last); ++p) {
-          expand_to(*p);
-        }
-      } else {
-        for (uint32_t next = 0; next < n; ++next) expand_to(next);
       }
     }
   }
@@ -181,7 +163,7 @@ GenerationResult GenerateCVdpsExact(const Instance& instance,
   c.legacy_route_allocs = c.route_allocs;
   c.shards = 1;
   c.max_shard_states = c.states_expanded;
-  result.adjacency = std::move(adj);
+  if (!std::isinf(config.epsilon)) result.adjacency = std::move(graph.adj);
   return result;
 }
 

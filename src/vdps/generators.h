@@ -18,9 +18,9 @@ struct GenerationResult {
   std::vector<CVdpsEntry> entries;
   /// True if the max_entries cap stopped the search early.
   bool truncated = false;
-  /// The ε-adjacency CSR the engine enumerated with (empty when ε = ∞
-  /// disables pruning). Handed to the catalog so ApplyDelta can patch it
-  /// in place instead of re-running every radius query.
+  /// The ε-adjacency CSR the engine enumerated with (empty when ε = ∞:
+  /// the complete graph is not kept). Handed to the catalog so ApplyDelta
+  /// can patch it in place instead of re-running every radius query.
   RadiusAdjacency adjacency;
   /// Generation observability (states, Pareto traffic, arena footprint,
   /// shard balance, phase timings).
@@ -48,8 +48,8 @@ struct EnumerationFocus {
   /// Per delivery point of the instance: ε-hop distance to the nearest
   /// goal point (0 for a goal point itself).
   std::vector<uint32_t> hops;
-  /// The instance's ε-adjacency, enumerated along instead of building a
-  /// GridIndex. Ignored when ε = ∞.
+  /// The instance's ε-adjacency (the complete graph when ε = ∞),
+  /// enumerated along instead of building a GridIndex.
   RadiusAdjacency adjacency;
 };
 

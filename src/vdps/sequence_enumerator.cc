@@ -3,13 +3,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "geo/distance_matrix.h"
 #include "geo/grid_index.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/math_util.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
+#include "vdps/catalog_internal.h"
 #include "vdps/enumeration_store.h"
 #include "vdps/generators.h"
 #include "vdps/route_arena.h"
@@ -28,9 +28,10 @@ constexpr size_t kRootsPerShard = 8;
 struct DfsContext {
   const Instance* instance = nullptr;
   const VdpsConfig* config = nullptr;
-  const DistanceMatrix* dm = nullptr;
-  /// ε-neighbor rows; nullptr when ε = ∞ disables pruning.
+  /// ε-neighbor rows (the complete graph when ε = ∞) and the travel
+  /// times along them.
   const RadiusAdjacency* adj = nullptr;
+  const EdgeTravelTimes* times = nullptr;
   /// Goal hop distances of a focused run (EnumerationFocus::hops);
   /// nullptr for a full enumeration.
   const std::vector<uint32_t>* hops = nullptr;
@@ -39,7 +40,7 @@ struct DfsContext {
   /// SoA mirrors of the two per-delivery-point fields the DFS inner loop
   /// reads (the scalar-AoS leftover of ROADMAP item 3): gathered once out
   /// of the ~56-byte-stride DeliveryPoint structs so the hot loop streams
-  /// contiguous doubles next to the travel-time row instead of striding
+  /// contiguous doubles next to the row's edge times instead of striding
   /// through Point + vector<SpatialTask> payloads per neighbor.
   std::vector<double> earliest_expiry;
   std::vector<double> total_reward;
@@ -69,7 +70,7 @@ class ShardDfs {
       // Focus pruning: a root farther than cap - 1 hops from every goal
       // starts no set that could hold one.
       if (ctx_.hops != nullptr && (*ctx_.hops)[j] >= ctx_.cap) continue;
-      const double arr = ctx_.dm->FromOrigin(j);
+      const double arr = ctx_.times->from_origin[j];
       const double slack = ctx_.earliest_expiry[j] - arr;
       if (slack < 0.0) continue;
       Enter(j);
@@ -130,42 +131,37 @@ class ShardDfs {
     // Distance-constrained pruning (Section IV): extend only to delivery
     // points within ε of the current one — one precomputed adjacency row.
     //
-    // Batched gather over the SoA mirrors: pass 1 streams the contiguous
-    // travel-time row and expiry mirror to compute every feasible
-    // neighbor's (arrival, slack); pass 2 recurses into them. The
-    // per-neighbor expression tree is unchanged and in_route_ is restored
-    // before each next sibling in the fused loop too, so the candidate
-    // set, the visit order, and every double are bit-identical to the
-    // fused form (pinned by vdps_catalog_equivalence_test) — the split
-    // just keeps the gather loop branch-light and free of the recursion's
-    // cache pollution.
+    // Batched gather over the SoA mirrors: pass 1 streams the row's
+    // neighbor ids and their parallel edge times, plus the expiry mirror,
+    // to compute every feasible neighbor's (arrival, slack); pass 2
+    // recurses into them. The per-neighbor expression tree is unchanged
+    // and in_route_ is restored before each next sibling in the fused loop
+    // too, so the candidate set, the visit order, and every double are
+    // bit-identical to the fused form (pinned by
+    // vdps_catalog_equivalence_test) — the split just keeps the gather
+    // loop branch-light and free of the recursion's cache pollution.
     DepthScratch& sc = scratch_[key_.size() - 1];
     sc.next.clear();
     sc.arr.clear();
     sc.slk.clear();
-    const double* row = ctx_.dm->TimeRow(last);
     // Focus pruning: while the set holds no goal point, enter a neighbor
     // only if a goal lies within the hops the size cap leaves after it.
     const uint32_t* hops =
         ctx_.hops != nullptr && goals_ == 0 ? ctx_.hops->data() : nullptr;
     const size_t hops_left = ctx_.cap - key_.size() - 1;
-    const auto gather = [&](uint32_t next) {
-      if (in_route_[next]) return;
-      if (hops != nullptr && hops[next] > hops_left) return;
-      const double arr = arrival + row[next];
+    const uint32_t* nbr = ctx_.adj->neighbors.data();
+    const double* time = ctx_.times->edge.data();
+    for (uint32_t k = ctx_.adj->offsets[last]; k < ctx_.adj->offsets[last + 1];
+         ++k) {
+      const uint32_t next = nbr[k];
+      if (in_route_[next]) continue;
+      if (hops != nullptr && hops[next] > hops_left) continue;
+      const double arr = arrival + time[k];
       const double slk = std::min(slack, ctx_.earliest_expiry[next] - arr);
-      if (slk < 0.0) return;  // misses a deadline even with offset 0
+      if (slk < 0.0) continue;  // misses a deadline even with offset 0
       sc.next.push_back(next);
       sc.arr.push_back(arr);
       sc.slk.push_back(slk);
-    };
-    if (ctx_.adj == nullptr) {
-      for (uint32_t next = 0; next < ctx_.n; ++next) gather(next);
-    } else {
-      for (const uint32_t* p = ctx_.adj->begin(last); p != ctx_.adj->end(last);
-           ++p) {
-        gather(*p);
-      }
     }
     for (size_t k = 0; k < sc.next.size(); ++k) {
       const uint32_t next = sc.next[k];
@@ -206,27 +202,24 @@ GenerationResult GenerateCVdpsSequences(const Instance& instance,
   const uint32_t n = static_cast<uint32_t>(instance.num_delivery_points());
   if (n == 0) return result;
 
-  const DistanceMatrix dm(instance.center(), instance.DeliveryPointLocations(),
-                          instance.travel());
-
   // ε-adjacency precompute: one radius query per delivery point up front
-  // instead of one per expanded DFS state. A focused run brings its own.
-  RadiusAdjacency adj;
-  const bool pruned = !std::isinf(config.epsilon);
-  if (pruned && focus == nullptr) {
-    Stopwatch adj_sw;
-    FTA_SPAN("vdps/adjacency");
-    const GridIndex grid(instance.DeliveryPointLocations(), config.epsilon);
-    adj = grid.BuildRadiusAdjacency(config.epsilon, pool);
-    result.counters.adjacency_ms = adj_sw.ElapsedMillis();
-    result.counters.adjacency_pairs = adj.num_pairs();
+  // instead of one per expanded DFS state, plus the travel time of every
+  // edge. A focused run brings its own adjacency and times only its edges.
+  vdps_internal::TravelGraph graph;
+  if (focus == nullptr) {
+    graph = vdps_internal::BuildTravelGraph(instance, config, pool,
+                                            &result.counters);
+  } else {
+    graph.times = EdgeTravelTimes(instance.center(),
+                                  instance.DeliveryPointLocations(),
+                                  focus->adjacency, instance.travel());
   }
 
   DfsContext ctx;
   ctx.instance = &instance;
   ctx.config = &config;
-  ctx.dm = &dm;
-  ctx.adj = !pruned ? nullptr : (focus != nullptr ? &focus->adjacency : &adj);
+  ctx.adj = focus != nullptr ? &focus->adjacency : &graph.adj;
+  ctx.times = &graph.times;
   ctx.hops = focus != nullptr ? &focus->hops : nullptr;
   ctx.n = n;
   ctx.cap = config.max_set_size == 0 ? n : std::min(config.max_set_size, n);
@@ -270,7 +263,7 @@ GenerationResult GenerateCVdpsSequences(const Instance& instance,
     vdps_internal::FinalizeShards(shards, config, result);
   }
   result.counters.finalize_ms = fin_sw.ElapsedMillis();
-  result.adjacency = std::move(adj);
+  if (!std::isinf(config.epsilon)) result.adjacency = std::move(graph.adj);
   if (result.truncated) {
     FTA_LOG(kWarning) << "C-VDPS generation truncated at "
                       << result.entries.size() << " entries";

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -241,6 +242,23 @@ TEST(SketchTest, DeterministicRankRule) {
   EXPECT_DOUBLE_EQ(z.ValueAtQuantile(0.5), 0.0);  // rank 2 <= zero count
   EXPECT_DOUBLE_EQ(z.ValueAtQuantile(1.0),
                    layout.ValueFor(layout.IndexFor(10.0)));
+  // Non-finite observations keep their bucket but add 0 to the sum.
+  EXPECT_EQ(z.sum_micros(), 5'000'000);
+  z.Observe(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(z.sum_micros(), 5'000'000);
+  EXPECT_EQ(z.count(), 5u);
+  EXPECT_DOUBLE_EQ(z.ValueAtQuantile(1.0),
+                   layout.ValueFor(layout.max_index));
+
+  // The registry's atomic sketch folds the same sum.
+  obs::QuantileSketch& q = obs::MetricsRegistry::Global().GetSketch(
+      "obs_test/non_finite_sketch", 0.01);
+  q.Reset();
+  for (double v : {0.0, -5.0, std::nan(""), 10.0}) q.Observe(v);
+  EXPECT_EQ(q.Snapshot().sum_micros(), 5'000'000);
+  q.Observe(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(q.Snapshot().sum_micros(), 5'000'000);
+  EXPECT_EQ(q.Snapshot().count(), 5u);
 }
 
 TEST(SketchTest, MergeIsOrderInvariant) {

@@ -13,7 +13,6 @@
 #include "game/fgt.h"
 #include "game/iau.h"
 #include "game/iegt.h"
-#include "geo/distance_matrix.h"
 #include "geo/grid_index.h"
 #include "geo/kdtree.h"
 #include "model/builder.h"
@@ -232,20 +231,24 @@ TEST_P(PropertySeeds, StrategySetsMonotoneInConfig) {
   }
 }
 
-/// Distance matrices are symmetric with zero diagonal and obey the
-/// triangle inequality (Euclidean travel times).
+/// The pairwise travel-time matrix — the edge times of the complete graph
+/// an ε = ∞ enumeration walks — is symmetric with zero diagonal and obeys
+/// the triangle inequality (Euclidean travel times).
 TEST_P(PropertySeeds, DistanceMatrixMetricAxioms) {
   const Instance inst = RandomInstance(GetParam() + 90, 12, 0);
-  const DistanceMatrix dm(inst.center(), inst.DeliveryPointLocations(),
-                          inst.travel());
-  const size_t n = dm.size();
+  const size_t n = inst.num_delivery_points();
+  const RadiusAdjacency complete = CompleteAdjacency(n);
+  const EdgeTravelTimes times(inst.center(), inst.DeliveryPointLocations(),
+                              complete, inst.travel());
+  const auto between = [&](size_t i, size_t j) {
+    return times.edge[complete.offsets[i] + j];
+  };
   for (size_t i = 0; i < n; ++i) {
-    EXPECT_DOUBLE_EQ(dm.Between(i, i), 0.0);
+    EXPECT_DOUBLE_EQ(between(i, i), 0.0);
     for (size_t j = 0; j < n; ++j) {
-      EXPECT_DOUBLE_EQ(dm.Between(i, j), dm.Between(j, i));
+      EXPECT_DOUBLE_EQ(between(i, j), between(j, i));
       for (size_t k = 0; k < n; ++k) {
-        EXPECT_LE(dm.Between(i, j),
-                  dm.Between(i, k) + dm.Between(k, j) + 1e-9);
+        EXPECT_LE(between(i, j), between(i, k) + between(k, j) + 1e-9);
       }
     }
   }

@@ -10,6 +10,7 @@
 #include "util/math_util.h"
 #include "util/rng.h"
 #include "vdps/catalog.h"
+#include "vdps/catalog_internal.h"
 #include "vdps/generators.h"
 #include "vdps/pareto.h"
 
@@ -191,6 +192,40 @@ TEST_P(EngineEquivalenceTest, SequencesMatchExactDp) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineEquivalenceTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// ---------------------------------------------------------- Travel graph --
+
+TEST(TravelGraphTest, EpsilonSelectsTheRowsAndEveryEngineKeepsOnlyThose) {
+  const Instance inst = RandomInstance(44, 12, 2);
+  const size_t n = inst.num_delivery_points();
+  for (double epsilon : {kInfinity, 3.0}) {
+    VdpsConfig config;
+    config.epsilon = epsilon;
+    config.max_set_size = 3;
+    GenerationCounters counters;
+    const vdps_internal::TravelGraph g =
+        vdps_internal::BuildTravelGraph(inst, config, nullptr, &counters);
+    const RadiusAdjacency want =
+        std::isinf(epsilon)
+            ? CompleteAdjacency(n)
+            : GridIndex(inst.DeliveryPointLocations(), epsilon)
+                  .BuildRadiusAdjacency(epsilon);
+    EXPECT_EQ(g.adj.offsets, want.offsets) << "epsilon=" << epsilon;
+    EXPECT_EQ(g.adj.neighbors, want.neighbors) << "epsilon=" << epsilon;
+    EXPECT_EQ(g.times.edge.size(), g.adj.num_pairs());
+    EXPECT_EQ(counters.adjacency_pairs, g.adj.num_pairs());
+    // The catalog keeps the ε-adjacency ApplyDelta patches, never the
+    // complete graph.
+    for (const GenerationResult& gen :
+         {GenerateCVdpsSequences(inst, config), GenerateCVdpsExact(inst, config),
+          GenerateCVdpsBeam(inst, config, 64)}) {
+      EXPECT_EQ(gen.adjacency.num_pairs(),
+                std::isinf(epsilon) ? 0u : want.num_pairs());
+      EXPECT_EQ(gen.counters.adjacency_pairs, want.num_pairs());
+    }
+  }
+  EXPECT_EQ(CompleteAdjacency(n).num_pairs(), n * n);
+}
 
 // ------------------------------------------------------- Pruning effects --
 

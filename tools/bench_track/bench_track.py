@@ -17,8 +17,8 @@ Subcommands:
         replaced, so re-runs do not duplicate).
 
     report --history FILE [--window N]
-        Print the tracked metrics' trajectories (and the raw serve8
-        throughput beside its tracked ratio) with deltas vs the previous
+        Print the tracked metrics' trajectories (and the raw wall-clock
+        numbers beside their tracked ratios) with deltas vs the previous
         entry.
 
     check --history FILE [--bench-dir DIR] [--threshold F] [--window N]
@@ -48,24 +48,29 @@ SCHEMA = "fta-bench-history-v1"
 # which way is better; a change beyond the threshold in the *worse*
 # direction is a regression. Benches absent from a run are skipped, so the
 # tracker keeps working as gates come and go.
+#
+# A gate is tracked through a number timed against a reference in the same
+# run, so a slower host moves both sides of the ratio: the span and
+# per-tick telemetry costs as fractions of their uninstrumented work, the
+# ledger as its speedup over the rebuild path, serve8 throughput over the
+# sequential reference.
 TRACKED = [
-    ("obs", "disabled_span_ns", "lower"),
     ("obs", "overhead_fraction", "lower"),
     ("obs", "stream_telemetry.overhead_fraction", "lower"),
-    ("obs", "stream_telemetry.ontick_ns", "lower"),
-    ("game", "ledger.ns_per_evaluate", "lower"),
     ("game", "speedup", "higher"),
     ("simd", "speedup", "higher"),
     ("stream", "warm_cold_ratio", "lower"),
-    # serve8 throughput over the sequential reference timed in the same
-    # run, so a slower host moves both sides of the ratio.
     ("serve", "serve8.speedup_vs_sequential", "higher"),
     ("serve", "serve8.p99_latency_ms", "lower"),
 ]
 
-# Printed by `report`, never checked: the raw throughput behind the
-# tracked serve8 ratio.
+# Printed by `report`, never checked: the raw wall-clock numbers behind the
+# tracked ratios. On one shared host they swing about 2x between entries
+# (obs.disabled_span_ns read 3.43, 6.78 and 2.25 ns).
 REPORTED = TRACKED + [
+    ("obs", "disabled_span_ns", "lower"),
+    ("obs", "stream_telemetry.ontick_ns", "lower"),
+    ("game", "ledger.ns_per_evaluate", "lower"),
     ("serve", "serve8.throughput_assignments_per_s", "higher"),
 ]
 

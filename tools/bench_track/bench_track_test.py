@@ -3,7 +3,9 @@
 regression detection (including an injected synthetic regression),
 same-host baselines, report-only mode, and malformed-history failure."""
 
+import contextlib
 import copy
+import io
 import json
 import os
 import sys
@@ -139,10 +141,9 @@ class BenchTrackTest(unittest.TestCase):
     def test_check_flags_injected_regression(self):
         for sha in ("s1", "s2", "s3"):
             self.assertEqual(self.collect(sha), 0)
-        # Synthetic regression: Evaluate gets 50% slower (lower-is-better
+        # Synthetic regression: span overhead grows 50% (lower-is-better
         # metric rises well beyond the 15% default threshold).
-        self.write_benches(
-            "s4", game=game_bench("s4", ns_per_evaluate=300.0))
+        self.write_benches("s4", obs=obs_bench("s4", overhead=0.003))
         self.assertEqual(self.check(), 1)
         # Report-only mode surfaces it but exits 0 (the CI default).
         self.assertEqual(self.check(["--report-only"]), 0)
@@ -169,6 +170,29 @@ class BenchTrackTest(unittest.TestCase):
             "s4", serve=serve_bench("s4", throughput=20000.0))
         self.assertEqual(self.check(), 0)
 
+    def test_check_gates_only_host_normalised_numbers(self):
+        for sha in ("s1", "s2", "s3"):
+            self.assertEqual(self.collect(sha), 0)
+        # The same host, uniformly 2x slower: the raw span, telemetry and
+        # Evaluate times double; the ratios timed within the run do not.
+        # (serve8's raw p99 is a gate of its own, so serve stays put.)
+        slow = host_benches("s4", slowdown=2.0)
+        slow["serve"] = serve_bench("s4")
+        self.write_benches("s4", **slow)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            self.assertEqual(self.check(), 0)
+        for raw in ("obs.disabled_span_ns", "obs.stream_telemetry.ontick_ns",
+                    "game.ledger.ns_per_evaluate"):
+            self.assertNotIn(raw, out.getvalue())
+            self.assertIn(raw.split(".", 1)[1],
+                          [p for _, p, _ in bench_track.REPORTED])
+        # A 30% drop in the ledger's speedup over its in-run rebuild
+        # reference still flags on the same slow host.
+        slow["game"]["speedup"] = 6.0 * 0.7
+        self.write_benches("s4", **slow)
+        self.assertEqual(self.check(), 1)
+
     def test_check_ignores_other_hosts(self):
         # History from a faster 1-thread host; the candidate runs
         # uniformly 1.5x slower on a 4-thread host.
@@ -193,15 +217,14 @@ class BenchTrackTest(unittest.TestCase):
     def test_check_within_threshold_passes(self):
         for sha in ("s1", "s2"):
             self.assertEqual(self.collect(sha), 0)
-        self.write_benches(
-            "s3", game=game_bench("s3", ns_per_evaluate=220.0))  # +10%
+        self.write_benches("s3", game=game_bench("s3", speedup=5.4))  # -10%
         self.assertEqual(self.check(), 0)
 
     def test_check_newest_history_entry_without_bench_dir(self):
         for sha in ("s1", "s2"):
             self.assertEqual(self.collect(sha), 0)
         self.assertEqual(self.collect(
-            "s3", game=game_bench("s3", ns_per_evaluate=300.0)), 0)
+            "s3", obs=obs_bench("s3", overhead=0.003)), 0)
         self.assertEqual(bench_track.main(
             ["check", "--history", self.history]), 1)
 
