@@ -15,49 +15,18 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
+#include "bench/heap_count.h"
 #include "fta/fta.h"
 #include "game/iau_kernels.h"
 #include "util/check.h"
-
-// Global allocation counter backing the game gate's zero-allocation claim:
-// every global operator new bumps it, so a steady-state delta of zero is
-// proof, not an estimate. Relaxed ordering is fine — the gate reads the
-// counter on the same thread that allocates (the engine under test is
-// serial), and the benchmark's own threads only add noise *between* reads.
-namespace {
-std::atomic<uint64_t> g_heap_allocations{0};
-}  // namespace
-
-// GCC cannot see that the replacement operator new below is malloc-backed
-// and flags every free() in the matching deletes as mismatched; the pair
-// is consistent by construction.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t size) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace fta {
 namespace {
@@ -574,14 +543,14 @@ int RunGameLedgerGate(size_t num_workers) {
   const uint64_t evaluate_calls =
       static_cast<uint64_t>(kSweeps) * num_workers;
 
-  uint64_t before = g_heap_allocations.load(std::memory_order_relaxed);
+  uint64_t before = bench::HeapAllocations();
   TimeEvaluateSweeps(ledger_engine, num_workers, kSweeps, 1);
   const uint64_t ledger_allocs =
-      g_heap_allocations.load(std::memory_order_relaxed) - before;
-  before = g_heap_allocations.load(std::memory_order_relaxed);
+      bench::HeapAllocations() - before;
+  before = bench::HeapAllocations();
   TimeEvaluateSweeps(rebuild_engine, num_workers, kSweeps, 1);
   const uint64_t rebuild_allocs =
-      g_heap_allocations.load(std::memory_order_relaxed) - before;
+      bench::HeapAllocations() - before;
 
   const double ledger_seconds =
       TimeEvaluateSweeps(ledger_engine, num_workers, kSweeps, kReps);
@@ -913,10 +882,10 @@ int RunSimdKernelGate(size_t num_workers) {
   // after a warm-up sweep.
   TimeEvaluateSweeps(engine, num_workers, 1, 1);
   const uint64_t before =
-      g_heap_allocations.load(std::memory_order_relaxed);
+      bench::HeapAllocations();
   TimeEvaluateSweeps(engine, num_workers, kSweeps, 1);
   const uint64_t engine_allocs =
-      g_heap_allocations.load(std::memory_order_relaxed) - before;
+      bench::HeapAllocations() - before;
 
   TimeBatchSweeps(batches, params, KernelArgmax, 1, 1);
   TimeBatchSweeps(batches, params, LegacyFoldArgmax, 1, 1);

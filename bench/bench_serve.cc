@@ -237,6 +237,14 @@ void Main() {
                        "shared bench pool");
 
   const double speedup = runs[2].throughput / ref_throughput;
+  // The 8-runner p99 in units of the sequential reference's mean time per
+  // batch, timed in this same run: a uniformly slower host moves both.
+  const double ref_batch_ms =
+      ref_wall_ms / static_cast<double>(std::max<uint64_t>(ref.batches, 1));
+  const double p99_vs_sequential = runs[2].p99_latency_ms / ref_batch_ms;
+  std::printf("  8-shard p99 vs sequential batch time: %.2fx (%.2f ms / "
+              "%.3f ms)\n",
+              p99_vs_sequential, runs[2].p99_latency_ms, ref_batch_ms);
   const unsigned hw_threads = std::thread::hardware_concurrency();
   const bool gate_enforced = hw_threads >= kGateMinHardwareThreads;
   std::printf("  8-shard speedup vs sequential: %.2fx (gate >= %.1fx, %s)\n",
@@ -275,6 +283,8 @@ void Main() {
        << StrFormat("%.1f", runs[2].throughput)
        << ", \"p99_latency_ms\": "
        << StrFormat("%.4f", runs[2].p99_latency_ms)
+       << ", \"p99_vs_sequential\": "
+       << StrFormat("%.4f", p99_vs_sequential)
        << ", \"speedup_vs_sequential\": " << StrFormat("%.3f", speedup)
        << "},\n  \"speedup_gate\": " << StrFormat("%.1f", kSpeedupGate)
        << ",\n  \"gate_enforced\": " << (gate_enforced ? "true" : "false")

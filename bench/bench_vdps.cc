@@ -1,21 +1,19 @@
 // C-VDPS catalog generation micro-bench: thread-count determinism, phase
-// timings, and the route arena's allocation savings on the GM default
-// instance, plus a report-only |DP| sweep at fixed density. Emits
+// timings, and the heap allocations of one serial generation on the GM
+// default instance, plus a report-only |DP| sweep at fixed density. Emits
 // BENCH_vdps.json with wall-clock, counter, and memory fields so the bench
 // trajectory accumulates across revisions.
 //
 // Hard gates (the bench aborts if they fail):
-//  - catalogs are bit-identical across thread counts {1, 2, 4, 8};
-//  - the sequence engine cuts transient route allocations and bytes per
-//    generated entry by >= 2x vs. the pre-arena implementation (modeled
-//    exactly by the legacy_* counters). "Transient" = route copies that do
-//    not survive into the final catalog: the old enumerator allocated a
-//    sort key + an option route per recorded sequence and threw away
-//    everything the Pareto frontier rejected; the serial arena engines
-//    allocate exactly the final catalog (entry.dps keys + surviving
-//    routes), so their transient route traffic is zero by construction.
-//    (Parallel runs additionally copy the few set keys that multiple
-//    shards discover independently; the gate measures the serial run.)
+//  - catalogs are bit-identical across thread counts {1, 2, 4, 8}, for the
+//    sequence and the beam engine;
+//  - one serial sequence-engine Generate on the GM default instance makes
+//    at most kMaxAllocsPerEntry heap allocations per generated entry,
+//    counted by the global operator new of heap_count.cc. The catalog
+//    itself holds about three vectors per entry (its set, its Pareto
+//    frontier, a route per kept option) plus one strategy list and one
+//    payoff list per worker; the rest is the enumeration's flat stores
+//    and the strategy phase's reused buffers.
 
 #include <sys/resource.h>
 
@@ -23,10 +21,15 @@
 #include <sstream>
 
 #include "bench/common.h"
+#include "bench/heap_count.h"
 
 namespace fta {
 namespace bench {
 namespace {
+
+/// The allocation gate: heap allocations per generated entry of one serial
+/// sequence-engine Generate on the GM default instance.
+constexpr double kMaxAllocsPerEntry = 7.0;
 
 /// Exact structural equality of two catalogs: entries (sets, rewards,
 /// Pareto options with routes) and per-worker strategies. Doubles compared
@@ -74,11 +77,6 @@ void AppendCounters(std::ostringstream& json, const GenerationCounters& g) {
        << ", \"strategies\": " << g.strategies
        << ", \"arena_nodes\": " << g.arena_nodes
        << ", \"arena_bytes\": " << g.arena_bytes
-       << ", \"route_allocs\": " << g.route_allocs
-       << ", \"route_bytes_copied\": " << g.route_bytes_copied
-       << ", \"scratch_bytes_copied\": " << g.scratch_bytes_copied
-       << ", \"legacy_route_allocs\": " << g.legacy_route_allocs
-       << ", \"legacy_route_bytes\": " << g.legacy_route_bytes
        << ", \"adjacency_pairs\": " << g.adjacency_pairs
        << ", \"shards\": " << g.shards
        << ", \"max_shard_states\": " << g.max_shard_states
@@ -163,7 +161,6 @@ void Main() {
           "eps=0.6, maxDP=3)\",\n  \"engines\": [\n";
 
   bool first_entry = true;
-  GenerationCounters sequences_serial_counters;
   for (const Engine& engine : engines) {
     std::vector<VdpsCatalog> catalogs;
     for (size_t threads : thread_counts) {
@@ -182,9 +179,6 @@ void Main() {
                                              << " threads diverged from the "
                                                 "1-thread catalog ("
                                              << engine.name << ")");
-      if (engine.beam_width == 0 && threads == 1) {
-        sequences_serial_counters = catalog.generation();
-      }
       std::printf(
           "%-9s threads=%zu  wall=%8.2fms  entries=%zu strategies=%llu "
           "states=%llu arena=%llu B  identical_to_serial=%s\n",
@@ -208,64 +202,37 @@ void Main() {
 
   RunDpSweep(json);
 
-  // Allocation-reduction gate. Both implementations end with the same
-  // catalog (entry.dps keys + surviving option routes), so the retained
-  // route copies are common to both and the arena's win is everything
-  // else: the pre-arena enumerator's per-record sort key + option route
-  // allocations that the Pareto frontier later discarded. For the arena
-  // engines route_allocs/route_bytes_copied count exactly the retained
-  // copies, so the transient traffic is (legacy − retained) vs.
-  // scratch-only — zero heap allocations, zero heap bytes.
-  const GenerationCounters& g = sequences_serial_counters;
-  const uint64_t transient_allocs_now = 0;  // by construction; see above
-  const uint64_t transient_bytes_now = g.scratch_bytes_copied;
-  const uint64_t transient_allocs_old = g.legacy_route_allocs - g.route_allocs;
-  const uint64_t transient_bytes_old =
-      g.legacy_route_bytes - g.route_bytes_copied;
-  const double alloc_ratio =
-      static_cast<double>(transient_allocs_old) /
-      static_cast<double>(std::max<uint64_t>(transient_allocs_now, 1));
-  const double bytes_ratio =
-      static_cast<double>(transient_bytes_old) /
-      static_cast<double>(std::max<uint64_t>(transient_bytes_now, 1));
-  const double entries_d = static_cast<double>(std::max<uint64_t>(g.entries, 1));
+  // Allocation gate: every global operator new during one serial
+  // Generate, after a warm-up run has paid for first-use statics (metric
+  // registrations). The returned catalog's own vectors count too.
+  VdpsConfig serial = base;
+  serial.num_threads = 1;
+  VdpsCatalog::Generate(instance, serial);
+  const uint64_t before = HeapAllocations();
+  const VdpsCatalog measured = VdpsCatalog::Generate(instance, serial);
+  const uint64_t allocs = HeapAllocations() - before;
+  const double per_entry =
+      static_cast<double>(allocs) /
+      static_cast<double>(std::max<size_t>(measured.num_entries(), 1));
   std::printf(
-      "\nsequences engine, route-copy accounting (per generated entry):\n"
-      "  transient allocs: %.2f pre-arena -> %.2f now (>= %.0fx reduction)\n"
-      "  transient bytes:  %.2f pre-arena -> %.2f now (>= %.0fx reduction)\n"
-      "  total allocs:     %.2f pre-arena -> %.2f now "
-      "(remainder is the final catalog itself)\n"
-      "  arena footprint:  %llu B of shared 8-byte nodes replace %llu B of "
-      "discarded route copies\n",
-      static_cast<double>(transient_allocs_old) / entries_d,
-      static_cast<double>(transient_allocs_now) / entries_d, alloc_ratio,
-      static_cast<double>(transient_bytes_old) / entries_d,
-      static_cast<double>(transient_bytes_now) / entries_d, bytes_ratio,
-      static_cast<double>(g.legacy_route_allocs) / entries_d,
-      static_cast<double>(g.route_allocs) / entries_d,
-      static_cast<unsigned long long>(g.arena_bytes),
-      static_cast<unsigned long long>(transient_bytes_old));
-  FTA_CHECK_MSG(
-      transient_allocs_old > 0 && alloc_ratio >= 2.0 && bytes_ratio >= 2.0,
-      "route arena must cut transient route allocations and bytes per entry "
-      "by >= 2x (got "
-          << StrFormat("%.2fx / %.2fx", alloc_ratio, bytes_ratio) << ")");
+      "\nsequences engine, serial Generate: %llu heap allocations for %zu "
+      "entries and %llu strategies = %.2f per entry (gate <= %.1f)\n",
+      static_cast<unsigned long long>(allocs), measured.num_entries(),
+      static_cast<unsigned long long>(measured.generation().strategies),
+      per_entry, kMaxAllocsPerEntry);
+  FTA_CHECK_MSG(per_entry <= kMaxAllocsPerEntry,
+                "serial Generate must make <= "
+                    << kMaxAllocsPerEntry
+                    << " heap allocations per entry, got "
+                    << StrFormat("%.2f", per_entry));
 
-  json << "  \"alloc_reduction\": {\"engine\": \"sequences\", "
-       << "\"transient_alloc_ratio\": " << StrFormat("%.3f", alloc_ratio)
-       << ", \"transient_bytes_ratio\": " << StrFormat("%.3f", bytes_ratio)
-       << ", \"transient_allocs_per_entry\": "
-       << StrFormat("%.3f",
-                    static_cast<double>(transient_allocs_old) / entries_d)
-       << ", \"transient_allocs_per_entry_now\": "
-       << StrFormat("%.3f",
-                    static_cast<double>(transient_allocs_now) / entries_d)
-       << ", \"total_allocs_per_entry\": "
-       << StrFormat("%.3f", static_cast<double>(g.route_allocs) / entries_d)
-       << ", \"legacy_total_allocs_per_entry\": "
-       << StrFormat("%.3f",
-                    static_cast<double>(g.legacy_route_allocs) / entries_d)
-       << "}\n}\n";
+  json << "  \"allocations\": {\"engine\": \"sequences\", \"threads\": 1"
+       << ", \"heap_allocations\": " << allocs
+       << ", \"entries\": " << measured.num_entries()
+       << ", \"strategies\": " << measured.generation().strategies
+       << ", \"allocs_per_entry\": " << StrFormat("%.3f", per_entry)
+       << ", \"gate_max_allocs_per_entry\": "
+       << StrFormat("%.1f", kMaxAllocsPerEntry) << "}\n}\n";
 
   const std::string path = "BENCH_vdps.json";
   std::ofstream out(path);

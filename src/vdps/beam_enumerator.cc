@@ -73,25 +73,15 @@ GenerationResult GenerateCVdpsBeam(const Instance& instance,
   std::vector<uint32_t> scratch_key;
   const auto record = [&](const BeamItem& item) {
     ++c.states_expanded;
+    // Reused scratch buffers: copies, but no per-record allocations.
     store.arena.Materialize(item.node, scratch_route);
     scratch_key = scratch_route;
     std::sort(scratch_key.begin(), scratch_key.end());
-    // Reused scratch buffers: copies, but no per-record allocations. The
-    // pre-arena implementation allocated both.
-    c.scratch_bytes_copied += 2 * scratch_key.size() * sizeof(uint32_t);
-    c.legacy_route_bytes += 2 * scratch_key.size() * sizeof(uint32_t);
-    c.legacy_route_allocs += 2;
-    bool created = false;
-    vdps_internal::SetRecord* rec =
-        store.Intern(scratch_key, config.max_entries, &created);
-    if (rec == nullptr) return;  // entry cap hit; store.truncated is set
-    if (created) {
-      c.legacy_route_bytes += scratch_key.size() * sizeof(uint32_t);
-      ++c.legacy_route_allocs;
-      rec->total_reward = item.reward;
-    }
-    rec->options.push_back(
-        vdps_internal::RawOption{item.arrival, item.slack, item.node, 0});
+    const uint32_t set = store.Intern(scratch_key, config.max_entries,
+                                      [&] { return item.reward; });
+    if (set == vdps_internal::SetTable::kNone) return;  // entry cap hit
+    store.log.push_back(vdps_internal::LoggedOption{item.arrival, item.slack,
+                                                    item.node, set});
     ++c.options_recorded;
   };
 
@@ -137,10 +127,6 @@ GenerationResult GenerateCVdpsBeam(const Instance& instance,
     pending.push_back(PendingChild{RouteArena::kNone, j, arr, slack,
                                    instance.delivery_point(j).total_reward()});
   }
-  // The pre-arena implementation allocated a route per candidate before
-  // shrinking (level-length payload each).
-  c.legacy_route_allocs += pending.size();
-  c.legacy_route_bytes += pending.size() * sizeof(uint32_t);
   shrink(pending);
   std::vector<BeamItem> beam;
   admit(pending, beam);
@@ -182,9 +168,6 @@ GenerationResult GenerateCVdpsBeam(const Instance& instance,
     } else {
       for (const BeamItem& item : beam) extend_item(item, pending);
     }
-    c.legacy_route_allocs += pending.size();
-    c.legacy_route_bytes += pending.size() * level * sizeof(uint32_t);
-
     shrink(pending);
     std::vector<BeamItem> next;
     admit(pending, next);

@@ -53,9 +53,64 @@ void PublishGeneration(const GenerationCounters& g) {
   wall.Observe(g.wall_ms);
 }
 
+/// Workers per strategy-phase job: enough that each job's reused list
+/// and sort buffers amortize over several workers.
+constexpr size_t kWorkersPerStrategyChunk = 16;
+
+/// The radix key of SortStrategies: ascending key is descending payoff for
+/// payoffs >= 0, and + 0.0 folds -0 into +0, which compares equal to it.
+uint64_t StrategyKey(const WorkerStrategy& st) {
+  return ~std::bit_cast<uint64_t>(st.payoff + 0.0);
+}
+
 }  // namespace
 
 namespace vdps_internal {
+
+WorkerStrategy* SortStrategies(WorkerStrategy* list, WorkerStrategy* scratch,
+                               size_t n) {
+  for (size_t i = 0; i < n; ++i) FTA_DCHECK(list[i].payoff >= 0.0);
+  if (n < kRadixSortMinStrategies) {
+    std::sort(list, list + n, StrategyOrder{});
+    return list;
+  }
+  // One pass counts all eight byte digits; a digit every key shares is
+  // skipped (payoffs of one worker share their exponent bytes).
+  constexpr int kDigits = 8;
+  uint32_t count[kDigits][256] = {};
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t key = StrategyKey(list[i]);
+    for (int d = 0; d < kDigits; ++d) ++count[d][(key >> (8 * d)) & 0xff];
+  }
+  const uint64_t first = StrategyKey(list[0]);
+  WorkerStrategy* src = list;
+  WorkerStrategy* dst = scratch;
+  for (int d = 0; d < kDigits; ++d) {
+    const int shift = 8 * d;
+    if (count[d][(first >> shift) & 0xff] == n) continue;
+    uint32_t at[256];
+    uint32_t sum = 0;
+    for (int b = 0; b < 256; ++b) {
+      at[b] = sum;
+      sum += count[d][b];
+    }
+    for (size_t i = 0; i < n; ++i) {
+      dst[at[(StrategyKey(src[i]) >> shift) & 0xff]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  return src;
+}
+
+StrategyProbe::StrategyProbe(const std::vector<CVdpsEntry>& entries)
+    : size(entries.size()), reach(entries.size()) {
+  for (size_t e = 0; e < entries.size(); ++e) {
+    const std::vector<SequenceOption>& options = entries[e].options;
+    size[e] = static_cast<uint32_t>(entries[e].dps.size());
+    reach[e] = options.empty() ? -kInfinity : options.back().slack + kEps;
+    max_reach = std::max(max_reach, reach[e]);
+  }
+}
 
 TravelGraph BuildTravelGraph(const Instance& instance,
                              const VdpsConfig& config, ThreadPool* pool,
@@ -85,11 +140,6 @@ void GenerationCounters::Merge(const GenerationCounters& o) {
   entries += o.entries;
   arena_nodes += o.arena_nodes;
   arena_bytes += o.arena_bytes;
-  route_bytes_copied += o.route_bytes_copied;
-  route_allocs += o.route_allocs;
-  scratch_bytes_copied += o.scratch_bytes_copied;
-  legacy_route_bytes += o.legacy_route_bytes;
-  legacy_route_allocs += o.legacy_route_allocs;
   adjacency_pairs += o.adjacency_pairs;
   shards += o.shards;
   max_shard_states = std::max(max_shard_states, o.max_shard_states);
@@ -136,29 +186,35 @@ VdpsCatalog VdpsCatalog::Generate(const Instance& instance,
   // Materialize per-worker strategies: a C-VDPS is valid for worker w iff
   // some retained sequence tolerates the worker's center offset, and the
   // set respects the worker's maxDP. Workers are independent, so the build
-  // fans out per worker; each slot is written by exactly one job.
+  // fans out over chunks of workers; each slot is written by exactly one
+  // job. A chunk builds each list in one reused buffer, sorts it, and
+  // copies it once into an exact-size vector.
   Stopwatch strat_sw;
   const size_t num_workers = instance.num_workers();
   catalog.strategies_.resize(num_workers);
   {
     FTA_SPAN("vdps/strategies");
-    const auto build_worker = [&](size_t w) {
-      const double offset = instance.WorkerToCenterTime(w);
-      const uint32_t max_dp = instance.worker(w).max_delivery_points;
-      std::vector<WorkerStrategy>& out = catalog.strategies_[w];
-      WorkerStrategy st;
-      for (uint32_t e = 0; e < catalog.entries_.size(); ++e) {
-        if (vdps_internal::MakeStrategy(catalog.entries_[e], e, offset,
-                                        max_dp, &st)) {
-          out.push_back(st);
-        }
+    const std::vector<CVdpsEntry>& entries = catalog.entries_;
+    const vdps_internal::StrategyProbe probe(entries);
+    const auto build_workers = [&](size_t, size_t begin, size_t end) {
+      std::vector<WorkerStrategy> list;
+      std::vector<WorkerStrategy> scratch;
+      list.reserve(entries.size());
+      for (size_t w = begin; w < end; ++w) {
+        vdps_internal::ProbeEntries(entries, probe,
+                                    instance.WorkerToCenterTime(w),
+                                    instance.worker(w).max_delivery_points,
+                                    list);
+        if (scratch.size() < list.size()) scratch.resize(entries.size());
+        const WorkerStrategy* sorted = vdps_internal::SortStrategies(
+            list.data(), scratch.data(), list.size());
+        catalog.strategies_[w].assign(sorted, sorted + list.size());
       }
-      std::sort(out.begin(), out.end(), vdps_internal::StrategyOrder{});
     };
     if (pool != nullptr && num_workers > 1) {
-      pool->RunBatch(num_workers, build_worker);
+      pool->RunChunked(num_workers, kWorkersPerStrategyChunk, build_workers);
     } else {
-      for (size_t w = 0; w < num_workers; ++w) build_worker(w);
+      build_workers(0, 0, num_workers);
     }
   }
 

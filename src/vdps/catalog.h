@@ -17,12 +17,7 @@
 namespace fta {
 
 /// Observability counters of one catalog generation run. Counts are exact
-/// (incremented on the hot paths, summed across shards deterministically);
-/// the `legacy_*` pair additionally models what the pre-arena
-/// implementation would have spent — two route copies (sort key +
-/// option route) per recorded sequence plus a full route copy per beam
-/// extension — so benches can report the arena's allocation savings
-/// without keeping the old code alive.
+/// (incremented on the hot paths, summed across shards deterministically).
 struct GenerationCounters {
   /// Feasible partial sequences visited (DP states for the exact engine).
   uint64_t states_expanded = 0;
@@ -38,21 +33,6 @@ struct GenerationCounters {
   uint64_t arena_nodes = 0;
   /// Total arena heap footprint in bytes.
   uint64_t arena_bytes = 0;
-  /// Route payload bytes copied into heap vectors. For the arena engines
-  /// every one of these survives into the final catalog (set keys that
-  /// become entry.dps, materialized survivor routes); the exact reference
-  /// engine also counts its DP-table route copies here.
-  uint64_t route_bytes_copied = 0;
-  /// Route vector heap allocations actually performed (same scope).
-  uint64_t route_allocs = 0;
-  /// Route payload bytes copied into reused scratch buffers (no heap
-  /// allocation) — e.g. the beam's per-record key materialization.
-  uint64_t scratch_bytes_copied = 0;
-  /// Route payload bytes the pre-arena implementation would have copied.
-  uint64_t legacy_route_bytes = 0;
-  /// Route vector allocations the pre-arena implementation would have
-  /// performed.
-  uint64_t legacy_route_allocs = 0;
   /// Total adjacency list length: the ε-adjacency's, n² for the complete
   /// graph an ε = ∞ run extends along.
   uint64_t adjacency_pairs = 0;

@@ -8,7 +8,10 @@
 // not fork or "locally optimize" either side.
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "geo/grid_index.h"
 #include "vdps/catalog.h"
@@ -45,9 +48,13 @@ TravelGraph BuildTravelGraph(const Instance& instance,
 /// sets, so any two sorts of the same entry multiset agree — which is what
 /// lets ApplyDelta merge-patch a sorted entry list instead of re-sorting.
 struct EntryOrder {
+  static bool Less(std::span<const uint32_t> a, std::span<const uint32_t> b) {
+    if (a.size() != b.size()) return a.size() < b.size();
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
+  }
   bool operator()(const CVdpsEntry& a, const CVdpsEntry& b) const {
-    if (a.dps.size() != b.dps.size()) return a.dps.size() < b.dps.size();
-    return a.dps < b.dps;
+    return Less(a.dps, b.dps);
   }
 };
 
@@ -60,6 +67,42 @@ struct StrategyOrder {
     if (a.payoff != b.payoff) return a.payoff > b.payoff;
     return a.entry_id < b.entry_id;
   }
+};
+
+/// Sorts the `n` strategies at `list`, which arrive in ascending entry_id
+/// order, into StrategyOrder. Lists shorter than kRadixSortMinStrategies
+/// go through std::sort; longer ones through a stable LSD radix sort on
+/// ~bit_cast<uint64_t>(payoff + 0.0), which for payoffs >= 0 (checked
+/// under FTA_VALIDATE; + 0.0 folds -0) ascends as the payoff descends.
+/// Its stability keeps equal payoffs in entry order, so both paths give
+/// the one StrategyOrder result. `scratch` must hold n records. Returns
+/// whichever of `list` and `scratch` holds the sorted list.
+WorkerStrategy* SortStrategies(WorkerStrategy* list, WorkerStrategy* scratch,
+                               size_t n);
+
+/// The list length from which SortStrategies radix-sorts. Below it, the
+/// per-digit histogram work costs more than std::sort's comparisons:
+/// timed on random payoffs on a 4-vCPU Xeon host, std::sort won up to
+/// 80 strategies and lost from 88 on (EXPERIMENTS.md).
+constexpr size_t kRadixSortMinStrategies = 96;
+
+/// Contiguous per-entry arrays that let the strategy phase skip an entry
+/// without touching it: MakeStrategy fails exactly when
+/// size[e] > max_dp or reach[e] < offset. The admissible options of a
+/// frontier form a suffix (CVdpsEntry::BestOptionFor), so an entry admits
+/// an offset iff its last, slack-richest option does, and reach[e] is the
+/// bound that option's test compares the offset against.
+struct StrategyProbe {
+  explicit StrategyProbe(const std::vector<CVdpsEntry>& entries);
+
+  bool Skips(uint32_t e, double offset, uint32_t max_dp) const {
+    return size[e] > max_dp || reach[e] < offset;
+  }
+
+  std::vector<uint32_t> size;
+  std::vector<double> reach;
+  /// The largest reach: a worker whose offset exceeds it has no strategy.
+  double max_reach = -kInfinity;
 };
 
 /// Materializes the strategy of a worker (center offset `offset`, maxDP
@@ -77,6 +120,22 @@ inline bool MakeStrategy(const CVdpsEntry& entry, uint32_t entry_id,
   out->total_reward = entry.total_reward;
   out->payoff = entry.total_reward / std::max(out->total_time, kMinTravelTime);
   return true;
+}
+
+/// Replaces `list` with the strategies of a worker (center offset
+/// `offset`, maxDP cap `max_dp`) over every entry, in ascending entry id
+/// order (unsorted by payoff). A worker beyond every entry's reach costs
+/// no scan.
+inline void ProbeEntries(const std::vector<CVdpsEntry>& entries,
+                         const StrategyProbe& probe, double offset,
+                         uint32_t max_dp, std::vector<WorkerStrategy>& list) {
+  list.clear();
+  if (probe.max_reach < offset) return;
+  WorkerStrategy st;
+  for (uint32_t e = 0; e < entries.size(); ++e) {
+    if (probe.Skips(e, offset, max_dp)) continue;
+    if (MakeStrategy(entries[e], e, offset, max_dp, &st)) list.push_back(st);
+  }
 }
 
 }  // namespace vdps_internal

@@ -63,6 +63,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
+#include "util/math_util.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -475,15 +476,25 @@ Status VdpsCatalog::ApplyDelta(const Instance& new_instance,
   // (monotone again), evaluate only the fresh entries for surviving
   // workers, build added workers from scratch, and merge per worker under
   // the shared StrategyOrder — a strict total order, so the merge equals
-  // Generate's full std::sort. Strategies are flat records: the patch
-  // copies no route, and every per-strategy write goes to the reused
-  // `additions` buffer or to a list grown once per worker. ----
+  // Generate's sorted list. Strategies are flat records: the patch copies
+  // no route, and every per-strategy write goes to the reused `additions`
+  // and `sort_buffer`, sized here for the longest list, or to a list
+  // grown once per worker. The probe arrays skip entries MakeStrategy
+  // would reject, exactly as in Generate. ----
   Stopwatch strat_sw;
   {
     FTA_SPAN("vdps/delta_strategies");
     const vdps_internal::StrategyOrder before;
+    const vdps_internal::StrategyProbe probe(entries_);
+    double fresh_reach = -kInfinity;
+    for (uint32_t final_id : final_of_fresh) {
+      fresh_reach = std::max(fresh_reach, probe.reach[final_id]);
+    }
+    const size_t longest =
+        plan.added_workers > 0 ? entries_.size() : final_of_fresh.size();
     std::vector<WorkerStrategy> additions;
-    additions.reserve(final_of_fresh.size());
+    additions.reserve(longest);
+    std::vector<WorkerStrategy> sort_buffer(longest);
     WorkerStrategy st;
     // FTA_HOT_BEGIN(delta-strategy-patch)
     for (size_t w = 0; w < strategies_.size(); ++w) {
@@ -491,43 +502,42 @@ Status VdpsCatalog::ApplyDelta(const Instance& new_instance,
       for (WorkerStrategy& kept : sts) {
         kept.entry_id = final_of_survivor[kept.entry_id];
       }
-      if (final_of_fresh.empty()) continue;
       const double offset = new_instance.WorkerToCenterTime(w);
+      if (fresh_reach < offset) continue;
       const uint32_t max_dp = new_instance.worker(w).max_delivery_points;
       additions.clear();
       for (uint32_t final_id : final_of_fresh) {
+        if (probe.Skips(final_id, offset, max_dp)) continue;
         if (vdps_internal::MakeStrategy(entries_[final_id], final_id, offset,
                                         max_dp, &st)) {
           additions.push_back(st);
         }
       }
       if (additions.empty()) continue;
-      std::sort(additions.begin(), additions.end(), before);
+      const WorkerStrategy* sorted = vdps_internal::SortStrategies(
+          additions.data(), sort_buffer.data(), additions.size());
       // Merge from the back into the grown list: the survivors shift right
       // in place, so no temporary is needed.
       size_t i = sts.size();
       size_t j = additions.size();
       sts.resize(i + j);
       for (size_t k = sts.size(); j > 0;) {
-        if (i > 0 && before(additions[j - 1], sts[i - 1])) {
+        if (i > 0 && before(sorted[j - 1], sts[i - 1])) {
           sts[--k] = sts[--i];
         } else {
-          sts[--k] = additions[--j];
+          sts[--k] = sorted[--j];
         }
       }
     }
     strategies_.resize(surviving_workers + plan.added_workers);
     for (size_t w = surviving_workers; w < strategies_.size(); ++w) {
-      const double offset = new_instance.WorkerToCenterTime(w);
-      const uint32_t max_dp = new_instance.worker(w).max_delivery_points;
-      additions.clear();
-      for (uint32_t e = 0; e < entries_.size(); ++e) {
-        if (vdps_internal::MakeStrategy(entries_[e], e, offset, max_dp, &st)) {
-          additions.push_back(st);
-        }
-      }
-      std::sort(additions.begin(), additions.end(), before);
-      strategies_[w].assign(additions.begin(), additions.end());
+      vdps_internal::ProbeEntries(entries_, probe,
+                                  new_instance.WorkerToCenterTime(w),
+                                  new_instance.worker(w).max_delivery_points,
+                                  additions);
+      const WorkerStrategy* sorted = vdps_internal::SortStrategies(
+          additions.data(), sort_buffer.data(), additions.size());
+      strategies_[w].assign(sorted, sorted + additions.size());
     }
     // FTA_HOT_END(delta-strategy-patch)
   }

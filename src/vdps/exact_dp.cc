@@ -102,8 +102,6 @@ GenerationResult GenerateCVdpsExact(const Instance& instance,
         }
       }
       for (const SequenceOption& opt : it->second) {
-        c.route_bytes_copied += opt.route.size() * sizeof(uint32_t);
-        ++c.route_allocs;
         InsertParetoOption(entry.options, opt, config.max_pareto, &stats);
       }
 
@@ -128,8 +126,6 @@ GenerationResult GenerateCVdpsExact(const Instance& instance,
           opt.route.push_back(next);
           opt.center_time = arr;
           opt.slack = slack;
-          c.route_bytes_copied += opt.route.size() * sizeof(uint32_t);
-          ++c.route_allocs;
           ++c.options_recorded;
           InsertParetoOption(target, std::move(opt), config.max_pareto,
                              &stats);
@@ -157,10 +153,6 @@ GenerationResult GenerateCVdpsExact(const Instance& instance,
   c.pareto_inserts = stats.inserts;
   c.pareto_evictions = stats.evictions;
   c.entries = result.entries.size();
-  // The exact engine keeps full routes in its DP table (no arena), so the
-  // legacy model equals the actual cost.
-  c.legacy_route_bytes = c.route_bytes_copied;
-  c.legacy_route_allocs = c.route_allocs;
   c.shards = 1;
   c.max_shard_states = c.states_expanded;
   if (!std::isinf(config.epsilon)) result.adjacency = std::move(graph.adj);

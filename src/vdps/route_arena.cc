@@ -1,7 +1,5 @@
 #include "vdps/route_arena.h"
 
-#include <algorithm>
-
 namespace fta {
 
 uint32_t RouteArena::Depth(uint32_t node) const {
@@ -18,11 +16,11 @@ bool RouteArena::Contains(uint32_t node, uint32_t dp) const {
 }
 
 void RouteArena::Materialize(uint32_t node, Route& out) const {
-  out.clear();
+  out.resize(Depth(node));
+  size_t i = out.size();
   for (uint32_t at = node; at != kNone; at = nodes_[at].parent) {
-    out.push_back(nodes_[at].dp);
+    out[--i] = nodes_[at].dp;
   }
-  std::reverse(out.begin(), out.end());
 }
 
 Route RouteArena::Materialize(uint32_t node) const {

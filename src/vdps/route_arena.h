@@ -49,7 +49,8 @@ class RouteArena {
   bool Contains(uint32_t node, uint32_t dp) const;
 
   /// Writes the route ending at `node` into `out` in visit order
-  /// (center-origin first hop at index 0). Replaces `out`'s contents.
+  /// (center-origin first hop at index 0). Replaces `out`'s contents; an
+  /// empty `out` is allocated once, at the route's exact length.
   void Materialize(uint32_t node, Route& out) const;
 
   /// Convenience allocation-per-call variant of Materialize.

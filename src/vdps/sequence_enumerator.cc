@@ -51,9 +51,8 @@ struct DfsContext {
 /// lock-free on a pool.
 class ShardDfs {
  public:
-  ShardDfs(const DfsContext& ctx, vdps_internal::EnumerationShard& shard,
-           uint32_t shard_index)
-      : ctx_(ctx), shard_(shard), shard_index_(shard_index) {
+  ShardDfs(const DfsContext& ctx, vdps_internal::EnumerationShard& shard)
+      : ctx_(ctx), shard_(shard) {
     in_route_.assign(ctx.n, false);
     key_.reserve(ctx.cap);
     // One gather scratch per DFS depth: the batched neighbor gather at
@@ -96,31 +95,21 @@ class ShardDfs {
     in_route_[dp] = false;
   }
 
-  /// Records the current sequence (its set is `key_`, its route is the
-  /// arena chain ending at `node`) as a raw option. A focused run skips
-  /// sets without a goal point.
+  /// Logs the current sequence (its set is `key_`, its route is the
+  /// arena chain ending at `node`) as a raw option of its set. A focused
+  /// run skips sets without a goal point.
   void Record(double arrival, double slack, uint32_t node) {
     if (ctx_.hops != nullptr && goals_ == 0) return;
-    GenerationCounters& c = shard_.counters;
-    // What the pre-arena implementation would have spent here: a sort-key
-    // copy plus a full route copy per recorded sequence...
-    c.legacy_route_bytes += 2 * key_.size() * sizeof(uint32_t);
-    c.legacy_route_allocs += 2;
-    bool created = false;
-    vdps_internal::SetRecord* rec =
-        shard_.Intern(key_, ctx_.config->max_entries, &created);
-    if (rec == nullptr) return;  // entry cap hit; shard_.truncated is set
-    if (created) {
-      // ...plus an entry.dps copy per new set.
-      c.legacy_route_bytes += key_.size() * sizeof(uint32_t);
-      ++c.legacy_route_allocs;
-      double reward = 0.0;
-      for (uint32_t dp : key_) reward += ctx_.total_reward[dp];
-      rec->total_reward = reward;
-    }
-    rec->options.push_back(
-        vdps_internal::RawOption{arrival, slack, node, shard_index_});
-    ++c.options_recorded;
+    const uint32_t set =
+        shard_.Intern(key_, ctx_.config->max_entries, [&] {
+          double reward = 0.0;
+          for (uint32_t dp : key_) reward += ctx_.total_reward[dp];
+          return reward;
+        });
+    if (set == vdps_internal::SetTable::kNone) return;  // entry cap hit
+    shard_.log.push_back(
+        vdps_internal::LoggedOption{arrival, slack, node, set});
+    ++shard_.counters.options_recorded;
   }
 
   void Dfs(uint32_t last, double arrival, double slack, uint32_t node) {
@@ -181,7 +170,6 @@ class ShardDfs {
 
   const DfsContext& ctx_;
   vdps_internal::EnumerationShard& shard_;
-  const uint32_t shard_index_;
   std::vector<DepthScratch> scratch_;
   std::vector<bool> in_route_;
   /// The current set, kept sorted ascending — the enumerators key set
@@ -244,14 +232,13 @@ GenerationResult GenerateCVdpsSequences(const Instance& instance,
       pool->RunChunked(n, kRootsPerShard,
                        [&](size_t chunk, size_t begin, size_t end) {
                          FTA_SPAN("vdps/enumerate_shard");
-                         ShardDfs dfs(ctx, shards[chunk],
-                                      static_cast<uint32_t>(chunk));
+                         ShardDfs dfs(ctx, shards[chunk]);
                          dfs.RunRoots(static_cast<uint32_t>(begin),
                                       static_cast<uint32_t>(end));
                        });
     } else {
       shards.resize(1);
-      ShardDfs dfs(ctx, shards[0], 0);
+      ShardDfs dfs(ctx, shards[0]);
       dfs.RunRoots(0, n);
     }
   }

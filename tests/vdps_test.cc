@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "datagen/gmission.h"
@@ -11,6 +14,7 @@
 #include "util/rng.h"
 #include "vdps/catalog.h"
 #include "vdps/catalog_internal.h"
+#include "vdps/enumeration_store.h"
 #include "vdps/generators.h"
 #include "vdps/pareto.h"
 
@@ -478,6 +482,167 @@ TEST(CatalogTest, GMissionPipelineProducesStrategies) {
   const VdpsCatalog catalog = VdpsCatalog::Generate(inst, vdps);
   EXPECT_GT(catalog.num_entries(), 0u);
   EXPECT_GT(catalog.MaxStrategiesPerWorker(), 0u);
+}
+
+TEST(CatalogTest, StrategyListsMatchAnExhaustiveProbe) {
+  // Generate skips entries through StrategyProbe and whole workers through
+  // its max_reach; the lists must equal probing every entry with
+  // MakeStrategy and sorting by StrategyOrder. The last worker stands far
+  // enough out that no entry admits its offset.
+  Instance base = RandomInstance(53, 12, 6);
+  std::vector<Worker> workers = base.workers();
+  workers.push_back(Worker{{500.0, 500.0}, 3});
+  const Instance inst(base.center(), base.delivery_points(),
+                      std::move(workers), base.travel());
+  const VdpsCatalog catalog = VdpsCatalog::Generate(inst, VdpsConfig{});
+  EXPECT_TRUE(catalog.strategies(inst.num_workers() - 1).empty());
+  for (size_t w = 0; w < inst.num_workers(); ++w) {
+    std::vector<WorkerStrategy> want;
+    WorkerStrategy st;
+    for (uint32_t e = 0; e < catalog.num_entries(); ++e) {
+      if (vdps_internal::MakeStrategy(
+              catalog.entry(e), e, inst.WorkerToCenterTime(w),
+              inst.worker(w).max_delivery_points, &st)) {
+        want.push_back(st);
+      }
+    }
+    std::sort(want.begin(), want.end(), vdps_internal::StrategyOrder{});
+    const std::vector<WorkerStrategy>& got = catalog.strategies(w);
+    ASSERT_EQ(got.size(), want.size()) << "worker " << w;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].entry_id, want[i].entry_id);
+      EXPECT_EQ(got[i].option, want[i].option);
+      EXPECT_EQ(got[i].payoff, want[i].payoff);
+    }
+  }
+}
+
+// ------------------------------------------------------- strategy sort --
+
+/// SortStrategies on `payoffs` (entry ids ascending, as every caller
+/// builds them) against std::sort under StrategyOrder, bit for bit.
+void ExpectSortMatchesStdSort(const std::vector<double>& payoffs) {
+  std::vector<WorkerStrategy> list(payoffs.size());
+  for (size_t i = 0; i < payoffs.size(); ++i) {
+    list[i].entry_id = static_cast<uint32_t>(i);
+    list[i].option = static_cast<uint32_t>(i % 3);
+    list[i].total_time = static_cast<double>(i);
+    list[i].payoff = payoffs[i];
+  }
+  std::vector<WorkerStrategy> want = list;
+  std::sort(want.begin(), want.end(), vdps_internal::StrategyOrder{});
+  std::vector<WorkerStrategy> scratch(list.size());
+  const WorkerStrategy* got =
+      vdps_internal::SortStrategies(list.data(), scratch.data(), list.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].entry_id, want[i].entry_id)
+        << "n=" << payoffs.size() << " i=" << i;
+    EXPECT_EQ(got[i].option, want[i].option);
+    EXPECT_EQ(got[i].total_time, want[i].total_time);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].payoff),
+              std::bit_cast<uint64_t>(want[i].payoff));
+  }
+}
+
+TEST(StrategySortTest, MatchesStdSortOnEdgeValues) {
+  const size_t cut = vdps_internal::kRadixSortMinStrategies;
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> specials{
+      0.0,    -0.0,       denorm,   4 * denorm, 1e-310, kInfinity,
+      1.0,    1.0,        2.5,      1e300,      -0.0,   denorm};
+  Rng rng(17);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{7}, cut - 1, cut,
+                   cut + 1, 3 * cut, size_t{1000}}) {
+    // Tie runs among a few distinct values, the signed zeros among them.
+    const std::vector<double> few{0.0, -0.0, denorm, 1.5, 1.5, 3.0};
+    std::vector<double> ties(n);
+    for (double& p : ties) p = few[rng.Index(few.size())];
+    ExpectSortMatchesStdSort(ties);
+    // Subnormals, +inf, both zeros and repeats mixed with random values.
+    std::vector<double> mixed(n);
+    for (double& p : mixed) {
+      p = rng.Index(2) == 0 ? specials[rng.Index(specials.size())]
+                            : rng.Uniform(0.0, 50.0);
+    }
+    ExpectSortMatchesStdSort(mixed);
+    // Payoffs that share their high bytes: only the low digits differ, so
+    // the radix path skips the constant ones.
+    std::vector<double> close(n);
+    for (double& p : close) {
+      p = std::bit_cast<double>(std::bit_cast<uint64_t>(7.25) +
+                                rng.Index(1u << 12));
+    }
+    ExpectSortMatchesStdSort(close);
+    // Already sorted descending, and ascending.
+    std::vector<double> desc(n);
+    for (size_t i = 0; i < n; ++i) desc[i] = static_cast<double>(n - i);
+    ExpectSortMatchesStdSort(desc);
+    std::reverse(desc.begin(), desc.end());
+    ExpectSortMatchesStdSort(desc);
+  }
+}
+
+// ------------------------------------------------------------ set table --
+
+TEST(SetTableTest, InternsRandomKeysAcrossGrowth) {
+  vdps_internal::SetTable table;
+  std::map<std::vector<uint32_t>, uint32_t> oracle;
+  std::vector<std::vector<uint32_t>> by_id;
+  Rng rng(23);
+  for (int i = 0; i < 10000; ++i) {
+    // Sorted distinct ids from a small range, so repeats and keys that
+    // are prefixes of each other are common.
+    std::vector<uint32_t> key;
+    const size_t len = 1 + rng.Index(4);
+    while (key.size() < len) {
+      const uint32_t id = static_cast<uint32_t>(rng.Index(24));
+      if (std::find(key.begin(), key.end(), id) == key.end()) {
+        key.push_back(id);
+      }
+    }
+    std::sort(key.begin(), key.end());
+    const double reward = static_cast<double>(i);
+    const uint32_t got = table.Intern(key, true, [&] { return reward; });
+    const auto it = oracle.find(key);
+    if (it != oracle.end()) {
+      ASSERT_EQ(got, it->second);
+    } else {
+      ASSERT_EQ(got, by_id.size());  // ids are dense, in creation order
+      oracle.emplace(key, got);
+      by_id.push_back(key);
+      EXPECT_EQ(table.reward(got), reward);
+    }
+  }
+  ASSERT_EQ(table.size(), oracle.size());
+  ASSERT_GT(table.size(), 1000u);  // grew well past the first table
+  for (uint32_t id = 0; id < table.size(); ++id) {
+    const std::span<const uint32_t> key = table.key(id);
+    EXPECT_TRUE(std::equal(key.begin(), key.end(), by_id[id].begin(),
+                           by_id[id].end()));
+  }
+}
+
+TEST(SetTableTest, PrefixKeysStayApartAndMayAddGatesCreation) {
+  vdps_internal::SetTable table;
+  const auto zero = [] { return 0.0; };
+  const std::vector<uint32_t> k4{1, 2, 3, 4};
+  std::vector<uint32_t> ids;
+  ids.reserve(k4.size());
+  for (size_t len = 1; len <= k4.size(); ++len) {
+    ids.push_back(table.Intern(std::span(k4.data(), len), true, zero));
+  }
+  EXPECT_EQ(ids, (std::vector<uint32_t>{0, 1, 2, 3}));
+  const std::vector<uint32_t> absent{2, 3};
+  EXPECT_EQ(table.Intern(absent, false, zero), vdps_internal::SetTable::kNone);
+  EXPECT_EQ(table.Intern(std::span(k4.data(), 2), false, zero), 1u);
+  EXPECT_EQ(table.size(), 4u);
+
+  vdps_internal::EnumerationShard shard;
+  EXPECT_EQ(shard.Intern(k4, 1, zero), 0u);
+  EXPECT_FALSE(shard.truncated);
+  EXPECT_EQ(shard.Intern(k4, 1, zero), 0u);  // a hit never hits the cap
+  EXPECT_EQ(shard.Intern(absent, 1, zero), vdps_internal::SetTable::kNone);
+  EXPECT_TRUE(shard.truncated);
 }
 
 }  // namespace

@@ -53,7 +53,8 @@ SCHEMA = "fta-bench-history-v1"
 # run, so a slower host moves both sides of the ratio: the span and
 # per-tick telemetry costs as fractions of their uninstrumented work, the
 # ledger as its speedup over the rebuild path, serve8 throughput over the
-# sequential reference.
+# sequential reference, and serve8's p99 latency over the sequential
+# reference's mean time per batch.
 TRACKED = [
     ("obs", "overhead_fraction", "lower"),
     ("obs", "stream_telemetry.overhead_fraction", "lower"),
@@ -61,7 +62,7 @@ TRACKED = [
     ("simd", "speedup", "higher"),
     ("stream", "warm_cold_ratio", "lower"),
     ("serve", "serve8.speedup_vs_sequential", "higher"),
-    ("serve", "serve8.p99_latency_ms", "lower"),
+    ("serve", "serve8.p99_vs_sequential", "lower"),
 ]
 
 # Printed by `report`, never checked: the raw wall-clock numbers behind the
@@ -72,6 +73,7 @@ REPORTED = TRACKED + [
     ("obs", "stream_telemetry.ontick_ns", "lower"),
     ("game", "ledger.ns_per_evaluate", "lower"),
     ("serve", "serve8.throughput_assignments_per_s", "higher"),
+    ("serve", "serve8.p99_latency_ms", "lower"),
 ]
 
 

@@ -40,11 +40,13 @@ def game_bench(sha, ns_per_evaluate=200.0, speedup=6.0, **host):
     }
 
 
-def serve_bench(sha, throughput=33000.0, p99=60.0, speedup=3.2, **host):
+def serve_bench(sha, throughput=33000.0, p99=60.0, p99_vs_seq=4.0,
+                speedup=3.2, **host):
     return {
         "bench": "serve", "meta": meta(sha, **host),
         "serve8": {"throughput_assignments_per_s": throughput,
-                   "p99_latency_ms": p99, "speedup_vs_sequential": speedup},
+                   "p99_latency_ms": p99, "p99_vs_sequential": p99_vs_seq,
+                   "speedup_vs_sequential": speedup},
         "digest_identity": True, "pass": True,
     }
 
@@ -161,35 +163,46 @@ class BenchTrackTest(unittest.TestCase):
         # drops by 30% against same-host entries.
         self.write_benches("s4", serve=serve_bench("s4", speedup=2.24))
         self.assertEqual(self.check(), 1)
-        # p99 (lower-is-better) doubling is likewise a regression.
-        self.write_benches("s4", serve=serve_bench("s4", p99=120.0))
+        # p99 over the reference's time per batch (lower-is-better)
+        # doubling is likewise a regression.
+        self.write_benches("s4", serve=serve_bench("s4", p99_vs_seq=8.0))
         self.assertEqual(self.check(), 1)
-        # Raw throughput is reported, not checked: a slower host lowers it
-        # together with the sequential reference the ratio divides by.
+        # Raw throughput and raw p99 are reported, not checked: a slower
+        # host moves them together with the sequential reference the
+        # ratios divide by.
         self.write_benches(
             "s4", serve=serve_bench("s4", throughput=20000.0))
+        self.assertEqual(self.check(), 0)
+        self.write_benches("s4", serve=serve_bench("s4", p99=120.0))
         self.assertEqual(self.check(), 0)
 
     def test_check_gates_only_host_normalised_numbers(self):
         for sha in ("s1", "s2", "s3"):
             self.assertEqual(self.collect(sha), 0)
-        # The same host, uniformly 2x slower: the raw span, telemetry and
-        # Evaluate times double; the ratios timed within the run do not.
-        # (serve8's raw p99 is a gate of its own, so serve stays put.)
+        # The same host, uniformly 2x slower: the raw span, telemetry,
+        # Evaluate and serve p99 times double and serve throughput halves;
+        # the ratios timed within the run do not move.
         slow = host_benches("s4", slowdown=2.0)
-        slow["serve"] = serve_bench("s4")
         self.write_benches("s4", **slow)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             self.assertEqual(self.check(), 0)
         for raw in ("obs.disabled_span_ns", "obs.stream_telemetry.ontick_ns",
-                    "game.ledger.ns_per_evaluate"):
+                    "game.ledger.ns_per_evaluate",
+                    "serve.serve8.p99_latency_ms",
+                    "serve.serve8.throughput_assignments_per_s"):
             self.assertNotIn(raw, out.getvalue())
             self.assertIn(raw.split(".", 1)[1],
                           [p for _, p, _ in bench_track.REPORTED])
         # A 30% drop in the ledger's speedup over its in-run rebuild
         # reference still flags on the same slow host.
         slow["game"]["speedup"] = 6.0 * 0.7
+        self.write_benches("s4", **slow)
+        self.assertEqual(self.check(), 1)
+        # So does a 30% rise in serve8's p99 over the in-run sequential
+        # reference's time per batch.
+        slow = host_benches("s4", slowdown=2.0)
+        slow["serve"]["serve8"]["p99_vs_sequential"] = 4.0 * 1.3
         self.write_benches("s4", **slow)
         self.assertEqual(self.check(), 1)
 

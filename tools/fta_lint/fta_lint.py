@@ -417,8 +417,8 @@ class UnorderedIterationRule(Rule):
         if (terminal in local_unordered
                 or terminal in tables.unordered_members):
             return True
-        # Bare names declared via an unordered alias (e.g. `SetStore sets;`
-        # where `using SetStore = std::unordered_map<...>`).
+        # Bare names declared via an unordered alias (e.g. `Table sets;`
+        # where `using Table = std::unordered_map<...>`).
         for alias in tables.unordered_aliases:
             if re.search(
                 rf"\b{re.escape(alias)}\b[^;={{}}]*?[\s&*]{re.escape(terminal)}\s*[;({{=,)]",
