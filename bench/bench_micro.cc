@@ -318,14 +318,14 @@ int RunObsOverheadGate() {
   churn.mean_task_patience_hours = 1.0;
   const std::vector<StreamEvent> events = GenerateChurnEvents(churn, 7);
   StreamConfig stream_config;
-  stream_config.center = Point{5.0, 5.0};
+  stream_config.engine.center = Point{5.0, 5.0};
   stream_config.tick_period = 0.05;
   stream_config.max_ticks = kStreamTicks;
-  stream_config.policy = ResolvePolicy::kWarm;
-  stream_config.vdps.epsilon = 0.6;
-  stream_config.vdps.max_set_size = 3;
-  stream_config.seed = 7;
-  stream_config.digest_catalog = true;
+  stream_config.engine.policy = ResolvePolicy::kWarm;
+  stream_config.engine.vdps.epsilon = 0.6;
+  stream_config.engine.vdps.max_set_size = 3;
+  stream_config.engine.seed = 7;
+  stream_config.engine.digest_catalog = true;
 
   uint64_t digest_off = 0;
   double off_ms_per_tick = kInfinity;

@@ -48,13 +48,13 @@ ChurnWorkloadConfig BenchChurn() {
 
 StreamConfig BenchStream(ResolvePolicy policy) {
   StreamConfig config;
-  config.center = Point{5.0, 5.0};
+  config.engine.center = Point{5.0, 5.0};
   config.tick_period = 0.05;
   config.max_ticks = kTicks;
-  config.policy = policy;
-  config.vdps.epsilon = 0.6;  // paper's GM default (Table I)
-  config.vdps.max_set_size = 3;
-  config.seed = 7;
+  config.engine.policy = policy;
+  config.engine.vdps.epsilon = 0.6;  // paper's GM default (Table I)
+  config.engine.vdps.max_set_size = 3;
+  config.engine.seed = 7;
   return config;
 }
 

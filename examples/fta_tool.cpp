@@ -352,19 +352,19 @@ int CmdStream(int argc, const char* const* argv) {
 
   StreamConfig config;
   if (policy_name == "cold") {
-    config.policy = ResolvePolicy::kColdRestart;
+    config.engine.policy = ResolvePolicy::kColdRestart;
   } else if (policy_name == "cold-seeded") {
-    config.policy = ResolvePolicy::kColdSeeded;
+    config.engine.policy = ResolvePolicy::kColdSeeded;
   } else if (policy_name == "warm") {
-    config.policy = ResolvePolicy::kWarm;
+    config.engine.policy = ResolvePolicy::kWarm;
   } else {
     return Fail(Status::InvalidArgument(
         "--policy must be cold, cold-seeded, or warm"));
   }
   if (solver_name == "fgt") {
-    config.solver = StreamSolver::kFgt;
+    config.engine.solver = StreamSolver::kFgt;
   } else if (solver_name == "iegt") {
-    config.solver = StreamSolver::kIegt;
+    config.engine.solver = StreamSolver::kIegt;
   } else {
     return Fail(Status::InvalidArgument("--solver must be fgt or iegt"));
   }
@@ -375,15 +375,15 @@ int CmdStream(int argc, const char* const* argv) {
   churn.worker_rate_per_hour = worker_rate;
   churn.mean_worker_dwell_hours = dwell;
   churn.mean_task_patience_hours = patience;
-  config.center = Point{churn.area_size / 2.0, churn.area_size / 2.0};
+  config.engine.center = Point{churn.area_size / 2.0, churn.area_size / 2.0};
   config.tick_period = tick_period;
   config.max_ticks = static_cast<size_t>(ticks);
-  config.vdps.epsilon = epsilon > 0 ? epsilon : kInfinity;
-  config.vdps.max_set_size = static_cast<uint32_t>(max_set);
-  config.vdps.num_threads = threads;
-  config.fgt.engine.num_threads = threads;
-  config.iegt.engine.num_threads = threads;
-  config.seed = static_cast<uint64_t>(seed);
+  config.engine.vdps.epsilon = epsilon > 0 ? epsilon : kInfinity;
+  config.engine.vdps.max_set_size = static_cast<uint32_t>(max_set);
+  config.engine.vdps.num_threads = threads;
+  config.engine.fgt.engine.num_threads = threads;
+  config.engine.iegt.engine.num_threads = threads;
+  config.engine.seed = static_cast<uint64_t>(seed);
   config.telemetry.window_ticks = window > 0 ? window : 1;
   config.telemetry.publish_path = prom_out;
   config.telemetry.publish_every_ticks = prom_every;
@@ -402,7 +402,8 @@ int CmdStream(int argc, const char* const* argv) {
       "%s/%s over %llu ticks: events %llu | tasks %llu in / %llu expired | "
       "workers %llu in / %llu out | regens %llu, deltas %llu | rounds %llu "
       "(converged %llu) | catalog %.1fms, solve %.1fms | digest %016llx\n",
-      ResolvePolicyName(config.policy), StreamSolverName(config.solver),
+      ResolvePolicyName(config.engine.policy),
+      StreamSolverName(config.engine.solver),
       static_cast<unsigned long long>(c.ticks),
       static_cast<unsigned long long>(c.events_ingested),
       static_cast<unsigned long long>(c.tasks_arrived),

@@ -25,9 +25,9 @@ struct BnbResult {
 /// far plus the sum of the remaining workers' individual best payoffs (a
 /// valid upper bound — it ignores conflicts) cannot beat the incumbent.
 ///
-/// Reaches far larger instances than SolveExhaustive (which enumerates
-/// every joint strategy) while computing the same max-total optimum; used
-/// as ground truth for MPTA. `node_limit` caps the search (0 = unlimited);
+/// Reaches far larger instances than enumerating every joint strategy
+/// while computing the same max-total optimum; used as ground truth for
+/// MPTA. `node_limit` caps the search (0 = unlimited);
 /// when hit, the incumbent is returned with complete = false.
 BnbResult SolveMaxTotalBnB(const Instance& instance,
                            const VdpsCatalog& catalog,

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <vector>
 
-#include "geo/kdtree.h"
+#include "geo/point.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -17,12 +17,21 @@ MultiCenterInstance GenerateSyn(const SynConfig& config) {
 
   std::vector<Point> center_locs(config.num_centers);
   for (Point& p : center_locs) p = {rng.Uniform(0, a), rng.Uniform(0, a)};
-  const KdTree center_tree(center_locs);
   const auto center_of = [&](const Point& p) -> uint32_t {
-    if (config.association == CenterAssociation::kNearest) {
-      return static_cast<uint32_t>(center_tree.Nearest(p));
+    if (config.association == CenterAssociation::kUniform) {
+      return static_cast<uint32_t>(rng.Index(config.num_centers));
     }
-    return static_cast<uint32_t>(rng.Index(config.num_centers));
+    // Linear scan; strict < keeps the lowest index on a tie.
+    uint32_t best = 0;
+    double best_d2 = SquaredDistance(p, center_locs[0]);
+    for (uint32_t c = 1; c < center_locs.size(); ++c) {
+      const double d2 = SquaredDistance(p, center_locs[c]);
+      if (d2 < best_d2) {
+        best_d2 = d2;
+        best = c;
+      }
+    }
+    return best;
   };
 
   // Delivery points: uniform location, center affiliation per config.

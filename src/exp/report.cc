@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "io/csv.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -50,20 +49,6 @@ std::string ResultTable::ToText() const {
   out.push_back('\n');
   for (const auto& row : rows_) render(row);
   return out;
-}
-
-std::string ResultTable::ToCsvText() const {
-  std::vector<std::vector<std::string>> all;
-  all.push_back(header_);
-  all.insert(all.end(), rows_.begin(), rows_.end());
-  return ToCsv(all);
-}
-
-Status ResultTable::WriteCsv(const std::string& path) const {
-  std::vector<std::vector<std::string>> all;
-  all.push_back(header_);
-  all.insert(all.end(), rows_.begin(), rows_.end());
-  return WriteCsvFile(path, all);
 }
 
 }  // namespace fta

@@ -4,13 +4,11 @@
 #include <string>
 #include <vector>
 
-#include "util/status.h"
-
 namespace fta {
 
 /// Accumulates a rectangular results table (the rows/series of one paper
-/// figure) and renders it as an aligned text table or CSV. Cells are
-/// strings; use AddRow with doubles for formatted numeric rows.
+/// figure) and renders it as an aligned text table. Cells are strings;
+/// use AddNumericRow for formatted numeric rows.
 class ResultTable {
  public:
   /// `title` is printed above the table; `header` names the columns.
@@ -27,10 +25,6 @@ class ResultTable {
 
   /// Aligned, human-readable rendering (what the bench binaries print).
   std::string ToText() const;
-  /// Machine-readable CSV (header + rows).
-  std::string ToCsvText() const;
-  /// Writes the CSV rendering to a file.
-  Status WriteCsv(const std::string& path) const;
 
  private:
   std::string title_;

@@ -13,9 +13,7 @@
 ///   std::cout << result.assignment.ToString(instance);
 
 #include "baseline/branch_and_bound.h"
-#include "baseline/exhaustive.h"
 #include "baseline/gta.h"
-#include "baseline/hungarian.h"
 #include "baseline/mpta.h"
 #include "baseline/random_assignment.h"
 #include "baseline/single_task.h"
@@ -32,7 +30,6 @@
 #include "exp/stats.h"
 #include "exp/sweep.h"
 #include "game/best_response.h"
-#include "game/equilibrium.h"
 #include "game/fgt.h"
 #include "game/iau.h"
 #include "game/iegt.h"
@@ -42,7 +39,6 @@
 #include "game/trace.h"
 #include "geo/bounding_box.h"
 #include "geo/grid_index.h"
-#include "geo/kdtree.h"
 #include "geo/point.h"
 #include "geo/travel.h"
 #include "io/assignment_io.h"
@@ -54,7 +50,6 @@
 #include "model/builder.h"
 #include "model/instance.h"
 #include "model/route.h"
-#include "model/route_opt.h"
 #include "model/task.h"
 #include "model/worker.h"
 #include "obs/json.h"

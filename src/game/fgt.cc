@@ -43,13 +43,6 @@ int32_t BestResponse(const JointState& state, size_t w,
   return engine.BestResponse(w);
 }
 
-bool IsPureNashEquilibrium(const JointState& state, const IauParams& params) {
-  BestResponseConfig config;
-  config.num_threads = 1;
-  BestResponseEngine engine(const_cast<JointState&>(state), params, config);
-  return engine.IsNash();
-}
-
 GameResult SolveFgt(const Instance& instance, const VdpsCatalog& catalog,
                     const FgtConfig& config) {
   FTA_SPAN("game/fgt/solve");

@@ -66,11 +66,6 @@ GameResult SolveFgt(const Instance& instance, const VdpsCatalog& catalog,
 int32_t BestResponse(const JointState& state, size_t w,
                      const IauParams& params);
 
-/// True if no worker has a strictly utility-improving available deviation —
-/// i.e. the state is a pure Nash equilibrium of the FTA game (used by tests
-/// and the convergence bench).
-bool IsPureNashEquilibrium(const JointState& state, const IauParams& params);
-
 }  // namespace fta
 
 #endif  // FTA_GAME_FGT_H_

@@ -3,8 +3,6 @@
 
 #include <vector>
 
-#include "game/iau.h"
-
 namespace fta {
 
 /// Exact potential of the FTA game for symmetric inequity aversion
@@ -33,11 +31,6 @@ double ExactPotential(const std::vector<double>& payoffs, double alpha);
 /// values.
 double ExactPotential(const std::vector<double>& payoffs, double alpha,
                       double payoff_difference);
-
-/// The paper's potential function Φ_paper(st) = Σ_i IAU(w_i) (Lemma 2),
-/// kept for comparison and for the convergence plots.
-double PaperPotential(const std::vector<double>& payoffs,
-                      const IauParams& params);
 
 }  // namespace fta
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/logging.h"
-#include "util/math_util.h"
 #include "util/thread_pool.h"
 
 namespace fta {
@@ -145,46 +144,6 @@ EdgeTravelTimes::EdgeTravelTimes(const Point& origin,
       edge[k] = travel.TravelTime(points[j], points[adj.neighbors[k]]);
     }
   }
-}
-
-int64_t GridIndex::Nearest(const Point& center) const {
-  if (points_.empty()) return -1;
-  // Expand rings of cells until a hit is found, then verify one more ring
-  // (a closer point can live in a neighboring ring's corner).
-  int64_t best = -1;
-  double best_d2 = kInfinity;
-  const int64_t cx0 = CellX(center.x);
-  const int64_t cy0 = CellY(center.y);
-  const int64_t max_ring = std::max(nx_, ny_);
-  for (int64_t ring = 0; ring <= max_ring; ++ring) {
-    bool scanned_any = false;
-    for (int64_t cy = cy0 - ring; cy <= cy0 + ring; ++cy) {
-      if (cy < 0 || cy >= ny_) continue;
-      for (int64_t cx = cx0 - ring; cx <= cx0 + ring; ++cx) {
-        if (cx < 0 || cx >= nx_) continue;
-        // Only the ring border; interior was scanned in earlier rings.
-        if (ring > 0 && std::abs(cx - cx0) != ring && std::abs(cy - cy0) != ring)
-          continue;
-        scanned_any = true;
-        const Cell& cell = CellAt(cx, cy);
-        for (uint32_t k = cell.begin; k < cell.end; ++k) {
-          const uint32_t id = sorted_ids_[k];
-          const double d2 = SquaredDistance(points_[id], center);
-          if (d2 < best_d2) {
-            best_d2 = d2;
-            best = id;
-          }
-        }
-      }
-    }
-    if (best >= 0) {
-      // A point in ring r guarantees no point beyond ring r+1 can be closer.
-      const double safe = static_cast<double>(ring) * cell_size_;
-      if (best_d2 <= safe * safe || ring == max_ring) break;
-    }
-    if (!scanned_any && ring > 0 && best >= 0) break;
-  }
-  return best;
 }
 
 }  // namespace fta

@@ -78,9 +78,6 @@ class GridIndex {
   /// set and within the radius.
   std::vector<uint32_t> RadiusQuery(const Point& center, double radius) const;
 
-  /// Index of the nearest point to `center`, or -1 for an empty index.
-  int64_t Nearest(const Point& center) const;
-
   /// Builds the full ε-neighbor adjacency (one RadiusQuery per point).
   /// Rows are computed independently, so a non-null `pool` fans the build
   /// out across its threads; the result is identical either way.

@@ -1,8 +1,5 @@
 #include "io/assignment_io.h"
 
-#include <fstream>
-#include <sstream>
-
 #include "io/csv.h"
 #include "util/string_util.h"
 
@@ -24,11 +21,7 @@ std::string SerializeAssignment(const Assignment& assignment) {
 
 Status SaveAssignment(const std::string& path,
                       const Assignment& assignment) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out << SerializeAssignment(assignment);
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::Ok();
+  return WriteTextFile(path, SerializeAssignment(assignment));
 }
 
 StatusOr<Assignment> DeserializeAssignment(const std::string& text,
@@ -90,11 +83,9 @@ StatusOr<Assignment> DeserializeAssignment(const std::string& text,
 
 StatusOr<Assignment> LoadAssignment(const std::string& path,
                                     const Instance& instance) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return DeserializeAssignment(buf.str(), instance);
+  StatusOr<std::string> text = ReadTextFile(path);
+  if (!text.ok()) return text.status();
+  return DeserializeAssignment(*text, instance);
 }
 
 }  // namespace fta

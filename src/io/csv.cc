@@ -67,14 +67,6 @@ StatusOr<CsvDocument> ParseCsv(const std::string& text, char delim) {
   return doc;
 }
 
-StatusOr<CsvDocument> ReadCsvFile(const std::string& path, char delim) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseCsv(buf.str(), delim);
-}
-
 std::string ToCsv(const std::vector<std::vector<std::string>>& rows,
                   char delim) {
   std::string out;
@@ -102,12 +94,18 @@ std::string ToCsv(const std::vector<std::vector<std::string>>& rows,
   return out;
 }
 
-Status WriteCsvFile(const std::string& path,
-                    const std::vector<std::vector<std::string>>& rows,
-                    char delim) {
+StatusOr<std::string> ReadTextFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IoError("cannot open for reading: " + path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+Status WriteTextFile(const std::string& path, std::string_view text) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return Status::IoError("cannot open for writing: " + path);
-  out << ToCsv(rows, delim);
+  out << text;
   if (!out) return Status::IoError("write failed: " + path);
   return Status::Ok();
 }

@@ -2,6 +2,7 @@
 #define FTA_IO_CSV_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -18,17 +19,16 @@ struct CsvDocument {
 /// are skipped; lines starting with '#' (outside quotes) are comments.
 StatusOr<CsvDocument> ParseCsv(const std::string& text, char delim = ',');
 
-/// Reads and parses a CSV file.
-StatusOr<CsvDocument> ReadCsvFile(const std::string& path, char delim = ',');
-
 /// Serializes rows to CSV text, quoting fields that need it.
 std::string ToCsv(const std::vector<std::vector<std::string>>& rows,
                   char delim = ',');
 
-/// Writes rows to a file as CSV.
-Status WriteCsvFile(const std::string& path,
-                    const std::vector<std::vector<std::string>>& rows,
-                    char delim = ',');
+/// Reads a whole file (the Load* functions' one read path).
+StatusOr<std::string> ReadTextFile(const std::string& path);
+
+/// Writes `text` to a file, replacing its contents (the Save* functions'
+/// and WriteInstanceSvg's one write path).
+Status WriteTextFile(const std::string& path, std::string_view text);
 
 }  // namespace fta
 

@@ -1,8 +1,5 @@
 #include "io/dataset_io.h"
 
-#include <fstream>
-#include <sstream>
-
 #include "io/csv.h"
 #include "util/string_util.h"
 
@@ -37,11 +34,7 @@ std::string SerializeInstances(const MultiCenterInstance& multi) {
 
 Status SaveInstances(const std::string& path,
                      const MultiCenterInstance& multi) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out << SerializeInstances(multi);
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::Ok();
+  return WriteTextFile(path, SerializeInstances(multi));
 }
 
 namespace {
@@ -155,11 +148,9 @@ StatusOr<MultiCenterInstance> DeserializeInstances(const std::string& text) {
 }
 
 StatusOr<MultiCenterInstance> LoadInstances(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return DeserializeInstances(buf.str());
+  StatusOr<std::string> text = ReadTextFile(path);
+  if (!text.ok()) return text.status();
+  return DeserializeInstances(*text);
 }
 
 }  // namespace fta

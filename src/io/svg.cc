@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 
 #include "geo/bounding_box.h"
+#include "io/csv.h"
 #include "util/string_util.h"
 
 namespace fta {
@@ -144,11 +144,7 @@ std::string RenderInstanceSvg(const Instance& instance,
 Status WriteInstanceSvg(const std::string& path, const Instance& instance,
                         const Assignment* assignment,
                         const SvgOptions& options) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out << RenderInstanceSvg(instance, assignment, options);
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::Ok();
+  return WriteTextFile(path, RenderInstanceSvg(instance, assignment, options));
 }
 
 }  // namespace fta

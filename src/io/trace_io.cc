@@ -1,8 +1,5 @@
 #include "io/trace_io.h"
 
-#include <fstream>
-#include <sstream>
-
 #include "io/csv.h"
 #include "util/string_util.h"
 
@@ -25,11 +22,7 @@ std::string SerializeRawTrace(const RawCrowdData& raw) {
 }
 
 Status SaveRawTrace(const std::string& path, const RawCrowdData& raw) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out << SerializeRawTrace(raw);
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::Ok();
+  return WriteTextFile(path, SerializeRawTrace(raw));
 }
 
 namespace {
@@ -84,11 +77,9 @@ StatusOr<RawCrowdData> DeserializeRawTrace(const std::string& text) {
 }
 
 StatusOr<RawCrowdData> LoadRawTrace(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return DeserializeRawTrace(buf.str());
+  StatusOr<std::string> text = ReadTextFile(path);
+  if (!text.ok()) return text.status();
+  return DeserializeRawTrace(*text);
 }
 
 }  // namespace fta

@@ -140,256 +140,5 @@ std::string JsonWriter::Escape(std::string_view value) {
   return out;
 }
 
-const JsonValue* JsonValue::Find(std::string_view key) const {
-  if (type != Type::kObject) return nullptr;
-  for (const auto& [k, v] : object) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-double JsonValue::NumberOr(std::string_view key, double fallback) const {
-  const JsonValue* v = Find(key);
-  return (v != nullptr && v->is_number()) ? v->number : fallback;
-}
-
-std::string JsonValue::StringOr(std::string_view key,
-                                std::string fallback) const {
-  const JsonValue* v = Find(key);
-  return (v != nullptr && v->is_string()) ? v->string : std::move(fallback);
-}
-
-bool JsonValue::BoolOr(std::string_view key, bool fallback) const {
-  const JsonValue* v = Find(key);
-  return (v != nullptr && v->type == Type::kBool) ? v->bool_value : fallback;
-}
-
-namespace {
-
-/// Recursive-descent parser state over the input text.
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  StatusOr<JsonValue> Parse() {
-    JsonValue root;
-    if (Status s = ParseValue(root, 0); !s.ok()) return s;
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Error("trailing characters after JSON value");
-    }
-    return root;
-  }
-
- private:
-  static constexpr int kMaxDepth = 64;
-
-  Status Error(const std::string& what) const {
-    return Status::ParseError("JSON: " + what + " at offset " +
-                              std::to_string(pos_));
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool ConsumeLiteral(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) == lit) {
-      pos_ += lit.size();
-      return true;
-    }
-    return false;
-  }
-
-  Status ParseValue(JsonValue& out, int depth) {
-    if (depth > kMaxDepth) return Error("nesting too deep");
-    SkipWhitespace();
-    if (pos_ >= text_.size()) return Error("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '{') return ParseObject(out, depth);
-    if (c == '[') return ParseArray(out, depth);
-    if (c == '"') {
-      out.type = JsonValue::Type::kString;
-      return ParseString(out.string);
-    }
-    if (ConsumeLiteral("true")) {
-      out.type = JsonValue::Type::kBool;
-      out.bool_value = true;
-      return Status::Ok();
-    }
-    if (ConsumeLiteral("false")) {
-      out.type = JsonValue::Type::kBool;
-      out.bool_value = false;
-      return Status::Ok();
-    }
-    if (ConsumeLiteral("null")) {
-      out.type = JsonValue::Type::kNull;
-      return Status::Ok();
-    }
-    return ParseNumber(out);
-  }
-
-  Status ParseObject(JsonValue& out, int depth) {
-    out.type = JsonValue::Type::kObject;
-    ++pos_;  // '{'
-    SkipWhitespace();
-    if (Consume('}')) return Status::Ok();
-    while (true) {
-      SkipWhitespace();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Error("expected object key");
-      }
-      std::string key;
-      if (Status s = ParseString(key); !s.ok()) return s;
-      SkipWhitespace();
-      if (!Consume(':')) return Error("expected ':' after object key");
-      JsonValue value;
-      if (Status s = ParseValue(value, depth + 1); !s.ok()) return s;
-      out.object.emplace_back(std::move(key), std::move(value));
-      SkipWhitespace();
-      if (Consume('}')) return Status::Ok();
-      if (!Consume(',')) return Error("expected ',' or '}' in object");
-    }
-  }
-
-  Status ParseArray(JsonValue& out, int depth) {
-    out.type = JsonValue::Type::kArray;
-    ++pos_;  // '['
-    SkipWhitespace();
-    if (Consume(']')) return Status::Ok();
-    while (true) {
-      JsonValue value;
-      if (Status s = ParseValue(value, depth + 1); !s.ok()) return s;
-      out.array.push_back(std::move(value));
-      SkipWhitespace();
-      if (Consume(']')) return Status::Ok();
-      if (!Consume(',')) return Error("expected ',' or ']' in array");
-    }
-  }
-
-  Status ParseString(std::string& out) {
-    ++pos_;  // '"'
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return Status::Ok();
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Error("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"':
-          out += '"';
-          break;
-        case '\\':
-          out += '\\';
-          break;
-        case '/':
-          out += '/';
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'b':
-          out += '\b';
-          break;
-        case 'f':
-          out += '\f';
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return Error("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return Error("bad hex digit in \\u escape");
-            }
-          }
-          // UTF-8 encode (BMP only; surrogate pairs are rejected — the
-          // library never emits them).
-          if (code >= 0xD800 && code <= 0xDFFF) {
-            return Error("surrogate \\u escapes are not supported");
-          }
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default:
-          return Error("bad escape character");
-      }
-    }
-    return Error("unterminated string");
-  }
-
-  Status ParseNumber(JsonValue& out) {
-    const size_t start = pos_;
-    if (Consume('-')) {
-    }
-    while (pos_ < text_.size() &&
-           ((text_[pos_] >= '0' && text_[pos_] <= '9') || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
-            text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Error("expected a JSON value");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
-      return Error("malformed number '" + token + "'");
-    }
-    out.type = JsonValue::Type::kNumber;
-    out.number = v;
-    return Status::Ok();
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
-StatusOr<JsonValue> ParseJson(std::string_view text) {
-  return Parser(text).Parse();
-}
-
 }  // namespace obs
 }  // namespace fta

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
-#include <iterator>
 #include <memory>
 #include <string_view>
 #include <thread>
@@ -231,11 +229,7 @@ std::string SerializeServeTrace(const ServeTrace& trace) {
 }
 
 Status SaveServeTrace(const std::string& path, const ServeTrace& trace) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out << SerializeServeTrace(trace);
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::Ok();
+  return WriteTextFile(path, SerializeServeTrace(trace));
 }
 
 namespace {
@@ -405,11 +399,9 @@ StatusOr<ServeTrace> DeserializeServeTrace(const std::string& text) {
 }
 
 StatusOr<ServeTrace> LoadServeTrace(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  return DeserializeServeTrace(text);
+  StatusOr<std::string> text = ReadTextFile(path);
+  if (!text.ok()) return text.status();
+  return DeserializeServeTrace(*text);
 }
 
 }  // namespace fta

@@ -50,20 +50,6 @@ void PublishStream(const StreamCounters& c) {
   }
 }
 
-TickEngineConfig ToEngineConfig(const StreamConfig& c) {
-  TickEngineConfig e;
-  e.center = c.center;
-  e.travel = c.travel;
-  e.policy = c.policy;
-  e.solver = c.solver;
-  e.vdps = c.vdps;
-  e.fgt = c.fgt;
-  e.iegt = c.iegt;
-  e.seed = c.seed;
-  e.digest_catalog = c.digest_catalog;
-  return e;
-}
-
 }  // namespace
 
 void StreamCounters::FoldTick(const TickStats& ts, size_t events) {
@@ -89,7 +75,7 @@ StreamDispatcher::StreamDispatcher(StreamConfig config,
                                    std::vector<StreamEvent> events)
     : config_(std::move(config)),
       events_(std::move(events)),
-      engine_(ToEngineConfig(config_)) {
+      engine_(config_.engine) {
   for (size_t i = 1; i < events_.size(); ++i) {
     FTA_CHECK_MSG(events_[i - 1].time <= events_[i].time,
                   "stream events must be sorted by non-decreasing time");
@@ -140,8 +126,9 @@ StatusOr<StreamResult> StreamDispatcher::Run() {
   result.digest = engine_.digest();
   PublishStream(counters_);
   if (telemetry_ != nullptr) telemetry_->PublishNow();
-  FTA_LOG(kInfo) << "stream run: policy=" << ResolvePolicyName(config_.policy)
-                 << " solver=" << StreamSolverName(config_.solver)
+  FTA_LOG(kInfo) << "stream run: policy="
+                 << ResolvePolicyName(config_.engine.policy)
+                 << " solver=" << StreamSolverName(config_.engine.solver)
                  << " ticks=" << counters_.ticks
                  << " rounds=" << counters_.solver_rounds << " catalog_ms="
                  << StrFormat("%.2f", counters_.catalog_ms) << " solve_ms="

@@ -18,8 +18,6 @@
 #include <memory>
 #include <vector>
 
-#include "geo/point.h"
-#include "geo/travel.h"
 #include "model/assignment.h"
 #include "model/instance.h"
 #include "stream/events.h"
@@ -31,29 +29,15 @@
 namespace fta {
 
 struct StreamConfig {
-  /// Distribution center shared by every tick's instance.
-  Point center;
-  TravelModel travel;
+  /// The per-tick engine: center, travel model, policy, solver, catalog
+  /// and solver configurations, seed and catalog digest.
+  TickEngineConfig engine;
   /// Tick t runs at absolute time t * tick_period.
   double tick_period = 1.0;
   /// Number of ticks to run (tick 0 included).
   size_t max_ticks = 16;
-  ResolvePolicy policy = ResolvePolicy::kWarm;
-  StreamSolver solver = StreamSolver::kFgt;
-  /// Catalog configuration. kWarm requires a delta-patchable setup:
-  /// beam_width == 0 and max_entries == 0 (checked at construction).
-  VdpsConfig vdps;
-  /// Base solver configurations; the per-tick seed overrides their `seed`
-  /// (derived as SplitMix64(seed ^ (tick + 1)) so every tick and every
-  /// stream seed gets an independent solver randomization).
-  FgtConfig fgt;
-  IegtConfig iegt;
-  uint64_t seed = 42;
   /// Keep per-tick stats in the result (cheap; off for huge runs).
   bool record_ticks = true;
-  /// Fold a digest of the ENTIRE catalog into the run digest every tick.
-  /// O(catalog) per tick — the identity tests' instrument, off by default.
-  bool digest_catalog = false;
   /// Live-telemetry sink: per-tick phase sketches, rolling windows, and
   /// the Prometheus publisher. Purely observational — telemetry on/off
   /// leaves the run digest unchanged (pinned by the identity battery).

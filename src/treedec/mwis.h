@@ -26,11 +26,6 @@ StatusOr<MwisResult> MwisOverTreeDecomposition(
     const Graph& graph, const std::vector<double>& weights,
     const TreeDecomposition& td, int max_width = 20);
 
-/// Exact max-weight independent set by exhaustive search; requires
-/// num_vertices <= 30. Ground truth for tests.
-MwisResult MwisBruteForce(const Graph& graph,
-                          const std::vector<double>& weights);
-
 /// Weighted greedy independent set: repeatedly takes the heaviest
 /// remaining vertex and discards its neighbors. The fallback used by MPTA
 /// when the conflict graph's treewidth is too large.

@@ -84,6 +84,9 @@ LogMessage::~LogMessage() {
 
 void CheckFailed(const char* expr, const char* file, int line,
                  const std::string& extra) {
+  // abort() discards buffered stdio output; flush what the program printed
+  // (a bench's tables) so it survives a failed gate.
+  std::fflush(stdout);
   std::fprintf(stderr, "[FATAL %s:%d] check failed: %s%s%s\n", Basename(file),
                line, expr, extra.empty() ? "" : " — ", extra.c_str());
   std::abort();

@@ -2,10 +2,10 @@
 
 #include <vector>
 
-#include "baseline/exhaustive.h"
 #include "baseline/gta.h"
 #include "baseline/mpta.h"
 #include "baseline/random_assignment.h"
+#include "support/exhaustive.h"
 #include "util/math_util.h"
 #include "util/rng.h"
 #include "vdps/catalog.h"

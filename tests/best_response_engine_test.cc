@@ -15,12 +15,12 @@
 #include <cstdint>
 #include <vector>
 
-#include "game/equilibrium.h"
 #include "game/fgt.h"
 #include "game/iau_kernels.h"
 #include "game/iegt.h"
 #include "game/init.h"
 #include "model/builder.h"
+#include "support/equilibrium.h"
 #include "util/math_util.h"
 #include "util/rng.h"
 #include "vdps/catalog.h"

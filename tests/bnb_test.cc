@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "baseline/exhaustive.h"
 #include "baseline/gta.h"
 #include "baseline/mpta.h"
 #include "model/builder.h"
+#include "support/exhaustive.h"
 #include "util/rng.h"
 #include "vdps/catalog.h"
 

@@ -6,6 +6,9 @@
 #include "util/check.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
 
 #include "util/status.h"
 
@@ -63,6 +66,21 @@ TEST(CheckAlwaysOnTest, CheckOkEvaluatesExactlyOnce) {
 TEST(CheckAlwaysOnDeathTest, CheckOkAbortsOnError) {
   EXPECT_DEATH(FTA_CHECK_OK(Status::InvalidArgument("bad dp index")),
                "is OK.*INVALID_ARGUMENT: bad dp index");
+}
+
+// A failing check must not discard what the program already printed: the
+// child points stdout at stderr (which the death test captures), makes it
+// fully buffered, prints, then fails a check.
+TEST(CheckAlwaysOnDeathTest, FailingCheckKeepsBufferedStdout) {
+  EXPECT_DEATH(
+      {
+        std::fflush(stdout);
+        dup2(STDERR_FILENO, STDOUT_FILENO);
+        std::setvbuf(stdout, nullptr, _IOFBF, 1 << 16);
+        std::printf("table printed before the gate\n");
+        FTA_CHECK(1 + 1 == 3);
+      },
+      "table printed before the gate(.|\n)*check failed: 1 \\+ 1 == 3");
 }
 
 }  // namespace

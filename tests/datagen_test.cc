@@ -4,9 +4,45 @@
 
 #include "datagen/gmission.h"
 #include "datagen/synthetic.h"
+#include "stream/digest.h"
 
 namespace fta {
 namespace {
+
+/// FNV-1a over every field of an instance, doubles by bit pattern: equal
+/// digests mean byte-identical centers, delivery points, tasks and workers.
+void FoldInstance(const Instance& inst, StreamDigest& digest) {
+  digest.Fold(inst.center().x);
+  digest.Fold(inst.center().y);
+  digest.Fold(inst.travel().speed());
+  digest.Fold(static_cast<uint64_t>(inst.num_delivery_points()));
+  for (const DeliveryPoint& dp : inst.delivery_points()) {
+    digest.Fold(dp.location().x);
+    digest.Fold(dp.location().y);
+    digest.Fold(static_cast<uint64_t>(dp.task_count()));
+    for (const SpatialTask& t : dp.tasks()) {
+      digest.Fold(static_cast<uint64_t>(t.delivery_point));
+      digest.Fold(t.expiry);
+      digest.Fold(t.reward);
+    }
+  }
+  digest.Fold(static_cast<uint64_t>(inst.num_workers()));
+  for (const Worker& w : inst.workers()) {
+    digest.Fold(w.location.x);
+    digest.Fold(w.location.y);
+    digest.Fold(static_cast<uint64_t>(w.max_delivery_points));
+  }
+}
+
+uint64_t SynDigest(uint64_t seed) {
+  SynConfig config;  // the paper's full-scale defaults
+  config.seed = seed;
+  StreamDigest digest;
+  for (const Instance& inst : GenerateSyn(config).centers) {
+    FoldInstance(inst, digest);
+  }
+  return digest.value();
+}
 
 // ------------------------------------------------------------------- SYN --
 
@@ -128,6 +164,19 @@ TEST(SynTest, NearestAssociationBindsToClosestCenter) {
   }
 }
 
+// Generator goldens: any change to the draw order, the nearest-center
+// affiliation or its tie rule changes these digests. Seeds 24 and 8024 are
+// the first syn-batch instances of the repository benchmark's seeds 3 and
+// 1003.
+TEST(SynTest, GoldenDigestAtDefaultSeed) {
+  EXPECT_EQ(SynDigest(SynConfig().seed), 0xab749afd073dd5b4ull);
+}
+
+TEST(SynTest, GoldenDigestAtBenchmarkSeeds) {
+  EXPECT_EQ(SynDigest(24), 0x4014b6aa994c9c23ull);
+  EXPECT_EQ(SynDigest(8024), 0x6c0225fc74ba5f3aull);
+}
+
 TEST(SynTest, UniformAssociationSpreadsAcrossCenters) {
   SynConfig config = SmallSyn();
   config.association = CenterAssociation::kUniform;
@@ -219,6 +268,12 @@ TEST(GMissionTest, DeterministicGivenSeeds) {
   EXPECT_EQ(a.center(), b.center());
   EXPECT_EQ(a.num_delivery_points(), b.num_delivery_points());
   EXPECT_EQ(a.workers(), b.workers());
+}
+
+TEST(GMissionTest, GoldenDigestAtDefaults) {
+  StreamDigest digest;
+  FoldInstance(GenerateGMissionLike({}, {}), digest);
+  EXPECT_EQ(digest.value(), 0xef732b989bf24d77ull);
 }
 
 TEST(GMissionTest, EmptyTasksHandled) {

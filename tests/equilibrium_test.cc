@@ -1,4 +1,4 @@
-#include "game/equilibrium.h"
+#include "support/equilibrium.h"
 
 #include <gtest/gtest.h>
 

@@ -42,22 +42,6 @@ TEST(ResultTableTest, TextRenderingContainsCells) {
   EXPECT_NE(text.find("x=2"), std::string::npos);
 }
 
-TEST(ResultTableTest, CsvRendering) {
-  ResultTable t("demo", {"alg", "v"});
-  t.AddNumericRow("GTA", {1.0});
-  const std::string csv = t.ToCsvText();
-  EXPECT_NE(csv.find("alg,v"), std::string::npos);
-  EXPECT_NE(csv.find("GTA,1"), std::string::npos);
-}
-
-TEST(ResultTableTest, WriteCsvFile) {
-  const std::string path = ::testing::TempDir() + "/fta_table.csv";
-  ResultTable t("demo", {"a"});
-  t.AddRow({"1"});
-  EXPECT_TRUE(t.WriteCsv(path).ok());
-  std::remove(path.c_str());
-}
-
 // ---------------------------------------------------------------- Runner --
 
 TEST(RunnerTest, AlgorithmNames) {

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <vector>
 
+#include "game/best_response.h"
 #include "game/fgt.h"
 #include "game/iau.h"
 #include "game/iegt.h"
@@ -129,16 +130,6 @@ TEST(PotentialTest, UnilateralDeviationProperty) {
   }
 }
 
-TEST(PotentialTest, PaperPotentialIsSumOfIaus) {
-  const std::vector<double> payoffs{1.0, 2.0, 4.0};
-  const IauParams params{0.5, 0.5};
-  double expected = 0.0;
-  expected += Iau(1.0, {2.0, 4.0}, params);
-  expected += Iau(2.0, {1.0, 4.0}, params);
-  expected += Iau(4.0, {1.0, 2.0}, params);
-  EXPECT_NEAR(PaperPotential(payoffs, params), expected, 1e-12);
-}
-
 // ------------------------------------------------------------ JointState --
 
 TEST(JointStateTest, StartsAllNull) {
@@ -251,7 +242,7 @@ TEST_P(FgtPropertyTest, ConvergesToVerifiedNash) {
     ASSERT_NE(idx, kNullStrategy) << "assignment route not in catalog";
     state.Apply(w, idx);
   }
-  EXPECT_TRUE(IsPureNashEquilibrium(state, config.iau));
+  EXPECT_TRUE(BestResponseEngine(state, config.iau).IsNash());
 }
 
 TEST_P(FgtPropertyTest, PotentialIsMonotoneAlongTrace) {
@@ -441,7 +432,7 @@ TEST_P(UpdateOrderTest, AllOrdersReachVerifiedNash) {
         }
       }
     }
-    EXPECT_TRUE(IsPureNashEquilibrium(state, config.iau))
+    EXPECT_TRUE(BestResponseEngine(state, config.iau).IsNash())
         << "order " << static_cast<int>(order);
   }
 }

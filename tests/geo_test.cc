@@ -9,7 +9,6 @@
 
 #include "geo/bounding_box.h"
 #include "geo/grid_index.h"
-#include "geo/kdtree.h"
 #include "geo/point.h"
 #include "geo/travel.h"
 #include "util/math_util.h"
@@ -93,7 +92,6 @@ TEST(GridIndexTest, EmptyIndex) {
   GridIndex index({});
   EXPECT_EQ(index.size(), 0u);
   EXPECT_TRUE(index.RadiusQuery({0, 0}, 10).empty());
-  EXPECT_EQ(index.Nearest({0, 0}), -1);
 }
 
 TEST(GridIndexTest, RadiusMatchesBruteForce) {
@@ -118,23 +116,8 @@ TEST(GridIndexTest, NegativeRadiusIsEmpty) {
   EXPECT_TRUE(index.RadiusQuery({0, 0}, -1.0).empty());
 }
 
-TEST(GridIndexTest, NearestMatchesBruteForce) {
-  Rng rng(32);
-  const std::vector<Point> pts = RandomPoints(300, rng);
-  GridIndex index(pts, 3.0);
-  for (int q = 0; q < 100; ++q) {
-    const Point c{rng.Uniform(-10, 110), rng.Uniform(-10, 110)};
-    const int64_t got = index.Nearest(c);
-    ASSERT_GE(got, 0);
-    double best = kInfinity;
-    for (const Point& p : pts) best = std::min(best, Distance(p, c));
-    EXPECT_NEAR(Distance(pts[static_cast<size_t>(got)], c), best, 1e-9);
-  }
-}
-
 TEST(GridIndexTest, SinglePoint) {
   GridIndex index({{7, 7}});
-  EXPECT_EQ(index.Nearest({0, 0}), 0);
   EXPECT_EQ(index.RadiusQuery({7, 7}, 0.0),
             (std::vector<uint32_t>{0}));
 }
@@ -142,63 +125,6 @@ TEST(GridIndexTest, SinglePoint) {
 TEST(GridIndexTest, CoincidentPoints) {
   GridIndex index({{1, 1}, {1, 1}, {1, 1}});
   EXPECT_EQ(index.RadiusQuery({1, 1}, 0.1).size(), 3u);
-}
-
-// ---------------------------------------------------------------- KdTree --
-
-TEST(KdTreeTest, EmptyTree) {
-  KdTree tree({});
-  EXPECT_EQ(tree.Nearest({0, 0}), -1);
-  EXPECT_TRUE(tree.KNearest({0, 0}, 3).empty());
-  EXPECT_TRUE(tree.RadiusQuery({0, 0}, 5).empty());
-}
-
-TEST(KdTreeTest, NearestMatchesBruteForce) {
-  Rng rng(33);
-  const std::vector<Point> pts = RandomPoints(400, rng);
-  KdTree tree(pts);
-  for (int q = 0; q < 100; ++q) {
-    const Point c{rng.Uniform(0, 100), rng.Uniform(0, 100)};
-    const int64_t got = tree.Nearest(c);
-    ASSERT_GE(got, 0);
-    double best = kInfinity;
-    for (const Point& p : pts) best = std::min(best, Distance(p, c));
-    EXPECT_NEAR(Distance(pts[static_cast<size_t>(got)], c), best, 1e-9);
-  }
-}
-
-TEST(KdTreeTest, KNearestSortedAndCorrect) {
-  Rng rng(34);
-  const std::vector<Point> pts = RandomPoints(200, rng);
-  KdTree tree(pts);
-  const Point c{50, 50};
-  const auto knn = tree.KNearest(c, 10);
-  ASSERT_EQ(knn.size(), 10u);
-  // Sorted by distance.
-  for (size_t i = 1; i < knn.size(); ++i) {
-    EXPECT_LE(Distance(pts[knn[i - 1]], c), Distance(pts[knn[i]], c) + 1e-12);
-  }
-  // Matches a brute-force top-10.
-  std::vector<double> dists;
-  for (const Point& p : pts) dists.push_back(Distance(p, c));
-  std::sort(dists.begin(), dists.end());
-  EXPECT_NEAR(Distance(pts[knn.back()], c), dists[9], 1e-9);
-}
-
-TEST(KdTreeTest, KNearestClampedToTreeSize) {
-  KdTree tree({{0, 0}, {1, 1}});
-  EXPECT_EQ(tree.KNearest({0, 0}, 5).size(), 2u);
-}
-
-TEST(KdTreeTest, RadiusMatchesBruteForce) {
-  Rng rng(35);
-  const std::vector<Point> pts = RandomPoints(300, rng);
-  KdTree tree(pts);
-  for (int q = 0; q < 30; ++q) {
-    const Point c{rng.Uniform(0, 100), rng.Uniform(0, 100)};
-    const double r = rng.Uniform(0, 25);
-    EXPECT_EQ(tree.RadiusQuery(c, r), BruteRadius(pts, c, r));
-  }
 }
 
 // ----------------------------------------------------------- TravelModel --

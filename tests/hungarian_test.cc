@@ -1,12 +1,12 @@
-#include "baseline/hungarian.h"
+#include "support/hungarian.h"
 
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <vector>
 
-#include "baseline/exhaustive.h"
 #include "baseline/gta.h"
+#include "support/exhaustive.h"
 #include "util/rng.h"
 #include "vdps/catalog.h"
 

@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "baseline/exhaustive.h"
 #include "baseline/gta.h"
 #include "baseline/mpta.h"
 #include "baseline/random_assignment.h"
@@ -12,6 +11,7 @@
 #include "game/fgt.h"
 #include "game/iegt.h"
 #include "io/dataset_io.h"
+#include "support/exhaustive.h"
 #include "util/math_util.h"
 #include "util/rng.h"
 #include "vdps/catalog.h"

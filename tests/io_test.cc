@@ -81,15 +81,22 @@ TEST(CsvTest, CustomDelimiter) {
 TEST(CsvTest, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/fta_csv_test.csv";
   const std::vector<std::vector<std::string>> rows{{"x", "1"}, {"y", "2"}};
-  ASSERT_TRUE(WriteCsvFile(path, rows).ok());
-  const auto doc = ReadCsvFile(path);
+  ASSERT_TRUE(WriteTextFile(path, ToCsv(rows)).ok());
+  const StatusOr<std::string> text = ReadTextFile(path);
+  ASSERT_TRUE(text.ok());
+  const auto doc = ParseCsv(*text);
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(doc->rows, rows);
   std::remove(path.c_str());
 }
 
 TEST(CsvTest, ReadMissingFileFails) {
-  EXPECT_FALSE(ReadCsvFile("/nonexistent/dir/f.csv").ok());
+  const StatusOr<MultiCenterInstance> loaded =
+      LoadInstances("/nonexistent/dir/f.csv");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(loaded.status().message(),
+            "cannot open for reading: /nonexistent/dir/f.csv");
 }
 
 // ------------------------------------------------------------ DatasetIo --

@@ -21,6 +21,7 @@
 #include "obs/sketch.h"
 #include "obs/trace.h"
 #include "obs/window.h"
+#include "support/json_reader.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "vdps/catalog.h"

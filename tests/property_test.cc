@@ -6,17 +6,16 @@
 
 #include <vector>
 
-#include "baseline/exhaustive.h"
 #include "baseline/gta.h"
 #include "baseline/mpta.h"
-#include "game/equilibrium.h"
 #include "game/fgt.h"
 #include "game/iau.h"
 #include "game/iegt.h"
 #include "geo/grid_index.h"
-#include "geo/kdtree.h"
 #include "model/builder.h"
 #include "model/route.h"
+#include "support/equilibrium.h"
+#include "support/exhaustive.h"
 #include "util/math_util.h"
 #include "util/rng.h"
 #include "vdps/catalog.h"
@@ -195,20 +194,6 @@ TEST_P(PropertySeeds, RewardConservation) {
     }
   }
   EXPECT_NEAR(covered_reward, earned, 1e-9);
-}
-
-/// Grid index and k-d tree agree on radius queries.
-TEST_P(PropertySeeds, GridAndKdTreeAgree) {
-  Rng rng(GetParam() * 29 + 11);
-  std::vector<Point> pts(200);
-  for (Point& p : pts) p = {rng.Uniform(0, 50), rng.Uniform(0, 50)};
-  const GridIndex grid(pts, 4.0);
-  const KdTree tree(pts);
-  for (int q = 0; q < 25; ++q) {
-    const Point c{rng.Uniform(0, 50), rng.Uniform(0, 50)};
-    const double r = rng.Uniform(0, 12);
-    EXPECT_EQ(grid.RadiusQuery(c, r), tree.RadiusQuery(c, r));
-  }
 }
 
 /// Stricter VDPS configs (smaller ε, smaller set cap) can only shrink each

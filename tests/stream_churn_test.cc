@@ -21,13 +21,13 @@ namespace {
 
 StreamConfig FuzzStream(uint64_t seed) {
   StreamConfig config;
-  config.center = Point{5.0, 5.0};
+  config.engine.center = Point{5.0, 5.0};
   config.tick_period = 1.0;
   config.max_ticks = 12;
-  config.policy = ResolvePolicy::kWarm;
-  config.vdps.epsilon = 3.0;
-  config.vdps.max_set_size = 3;
-  config.seed = seed;
+  config.engine.policy = ResolvePolicy::kWarm;
+  config.engine.vdps.epsilon = 3.0;
+  config.engine.vdps.max_set_size = 3;
+  config.engine.seed = seed;
   return config;
 }
 

@@ -37,17 +37,17 @@ ChurnWorkloadConfig SmallChurn() {
 
 StreamConfig SmallStream(uint64_t seed, size_t threads, StreamSolver solver) {
   StreamConfig config;
-  config.center = Point{3.0, 3.0};
+  config.engine.center = Point{3.0, 3.0};
   config.tick_period = 0.1;
   config.max_ticks = 10;
-  config.solver = solver;
-  config.vdps.epsilon = 2.0;
-  config.vdps.max_set_size = 3;
-  config.vdps.num_threads = threads;
-  config.fgt.engine.num_threads = threads;
-  config.iegt.engine.num_threads = threads;
-  config.seed = seed;
-  config.digest_catalog = true;
+  config.engine.solver = solver;
+  config.engine.vdps.epsilon = 2.0;
+  config.engine.vdps.max_set_size = 3;
+  config.engine.vdps.num_threads = threads;
+  config.engine.fgt.engine.num_threads = threads;
+  config.engine.iegt.engine.num_threads = threads;
+  config.engine.seed = seed;
+  config.engine.digest_catalog = true;
   return config;
 }
 
@@ -68,9 +68,9 @@ TEST(StreamIdentityTest, WarmEqualsColdSeededAcrossSeedsThreadsSolvers) {
       bool have_reference = false;
       for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
         StreamConfig cold = SmallStream(seed, threads, solver);
-        cold.policy = ResolvePolicy::kColdSeeded;
+        cold.engine.policy = ResolvePolicy::kColdSeeded;
         StreamConfig warm = SmallStream(seed, threads, solver);
-        warm.policy = ResolvePolicy::kWarm;
+        warm.engine.policy = ResolvePolicy::kWarm;
         const uint64_t cold_digest = RunDigest(cold, events);
         const uint64_t warm_digest = RunDigest(warm, events);
         EXPECT_EQ(warm_digest, cold_digest)
@@ -94,7 +94,7 @@ TEST(StreamIdentityTest, WarmTicksActuallyUseDeltas) {
   const std::vector<StreamEvent> events =
       GenerateChurnEvents(SmallChurn(), 7);
   StreamConfig config = SmallStream(7, 1, StreamSolver::kFgt);
-  config.policy = ResolvePolicy::kWarm;
+  config.engine.policy = ResolvePolicy::kWarm;
   StreamDispatcher dispatcher(config, events);
   StatusOr<StreamResult> result = dispatcher.Run();
   ASSERT_TRUE(result.ok()) << result.status().message();
@@ -107,7 +107,7 @@ TEST(StreamIdentityTest, ColdSeededTicksAlwaysRegenerate) {
   const std::vector<StreamEvent> events =
       GenerateChurnEvents(SmallChurn(), 7);
   StreamConfig config = SmallStream(7, 1, StreamSolver::kFgt);
-  config.policy = ResolvePolicy::kColdSeeded;
+  config.engine.policy = ResolvePolicy::kColdSeeded;
   StreamDispatcher dispatcher(config, events);
   StatusOr<StreamResult> result = dispatcher.Run();
   ASSERT_TRUE(result.ok()) << result.status().message();
@@ -125,7 +125,7 @@ TEST(StreamIdentityTest, TelemetryOnOffAssignmentsAreBitIdentical) {
   for (const StreamSolver solver :
        {StreamSolver::kFgt, StreamSolver::kIegt}) {
     StreamConfig on = SmallStream(5, 2, solver);
-    on.policy = ResolvePolicy::kWarm;
+    on.engine.policy = ResolvePolicy::kWarm;
     StreamConfig off = on;
     off.telemetry.enabled = false;
 

@@ -1,5 +1,5 @@
-#ifndef FTA_GAME_EQUILIBRIUM_H_
-#define FTA_GAME_EQUILIBRIUM_H_
+#ifndef FTA_TESTS_SUPPORT_EQUILIBRIUM_H_
+#define FTA_TESTS_SUPPORT_EQUILIBRIUM_H_
 
 #include <cstdint>
 #include <vector>
@@ -58,4 +58,4 @@ NashEnumeration EnumeratePureNash(
 
 }  // namespace fta
 
-#endif  // FTA_GAME_EQUILIBRIUM_H_
+#endif  // FTA_TESTS_SUPPORT_EQUILIBRIUM_H_

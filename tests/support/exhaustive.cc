@@ -1,4 +1,4 @@
-#include "baseline/exhaustive.h"
+#include "support/exhaustive.h"
 
 #include <vector>
 

@@ -1,5 +1,5 @@
-#ifndef FTA_BASELINE_EXHAUSTIVE_H_
-#define FTA_BASELINE_EXHAUSTIVE_H_
+#ifndef FTA_TESTS_SUPPORT_EXHAUSTIVE_H_
+#define FTA_TESTS_SUPPORT_EXHAUSTIVE_H_
 
 #include <cstddef>
 
@@ -35,4 +35,4 @@ ExhaustiveResult SolveExhaustive(const Instance& instance,
 
 }  // namespace fta
 
-#endif  // FTA_BASELINE_EXHAUSTIVE_H_
+#endif  // FTA_TESTS_SUPPORT_EXHAUSTIVE_H_

@@ -1,4 +1,4 @@
-#include "baseline/hungarian.h"
+#include "support/hungarian.h"
 
 #include <algorithm>
 #include <limits>

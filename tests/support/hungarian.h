@@ -1,5 +1,5 @@
-#ifndef FTA_BASELINE_HUNGARIAN_H_
-#define FTA_BASELINE_HUNGARIAN_H_
+#ifndef FTA_TESTS_SUPPORT_HUNGARIAN_H_
+#define FTA_TESTS_SUPPORT_HUNGARIAN_H_
 
 #include <cstdint>
 #include <vector>
@@ -39,4 +39,4 @@ Assignment SolveSingletonOptimal(const Instance& instance,
 
 }  // namespace fta
 
-#endif  // FTA_BASELINE_HUNGARIAN_H_
+#endif  // FTA_TESTS_SUPPORT_HUNGARIAN_H_

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "support/mwis_brute_force.h"
 #include "treedec/graph.h"
 #include "treedec/mwis.h"
 #include "treedec/tree_decomposition.h"
